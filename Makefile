@@ -45,21 +45,21 @@ FUZZTIME_STRACE ?= 10s
 fuzz-strace:
 	$(GO) test -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME_STRACE) -run '^$$' ./internal/strace/
 
-# Chaos gate: run a real seerd pipeline under injected faults (stage
-# panics, stalled tail reads, failing checkpoints, wedged clustering)
-# with the race detector on, plus the supervisor and fault-injector unit
-# suites backing it. CHAOS_COUNT repeats the run to shake out timing
-# flakes.
+# Chaos gate: run a real plain (one-shard) seerd under injected faults
+# (stage panics, stalled tail reads, failing checkpoints, wedged
+# clustering) with the race detector on, plus its follow, tracing and
+# rumor suites and the supervisor and fault-injector unit suites
+# backing it. CHAOS_COUNT repeats the run to shake out timing flakes.
 CHAOS_COUNT ?= 1
 chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight' \
+		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestFollowPipelineSurvivesTruncationAndRotation|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight|TestTraceFollowsBatchToPlan|RumorEndpoints|RumorDisabled' \
 		./cmd/seerd/
 	$(GO) test -race -count=$(CHAOS_COUNT) ./internal/supervise/ ./internal/fault/
 
 # Metrics smoke: run a built seerd against a sample strace file and
-# verify /metrics exposes the core series, the expvar compat view
-# survives, and /debug/traces answers. Needs curl.
+# verify /metrics exposes the core series on both listeners and
+# /debug/traces answers. Needs curl.
 metrics-smoke:
 	$(GO) build -o bin/seerd ./cmd/seerd
 	sh scripts/metrics_smoke.sh
@@ -98,7 +98,7 @@ metrics-lint:
 # event loss (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
 shard-chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest' \
+		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestEventsPartialIngestIsNotOK|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest' \
 		./internal/shard/ ./internal/supervise/
 
 # Replication chaos gate: the networked CheapRumor substrate under 30%
@@ -113,7 +113,7 @@ rumor-chaos: vet
 
 # Capacity smoke: the closed-loop harness (cmd/seerload) ramps mixed
 # /plan + /hoard + /miss + rumor-sync load against a real seerd (plain
-# with -rumor, then -shards 4), records BENCH_load.json through
+# one-shard with -rumor, then -shards 4), records BENCH_load.json through
 # benchcmp, and re-checks a second ramp against it — the whole capacity
 # pipeline, black-box, in well under a minute. DESIGN.md §16.
 load-smoke:

@@ -72,15 +72,17 @@ func printMetrics(w io.Writer, base string) error {
 		return out
 	}
 	row := func(label, value string) { fmt.Fprintf(w, "%-22s %s\n", label, value) }
+	// count and mb total a family across its series, so per-shard
+	// families (the hoard gauges) render as the host's total.
 	count := func(label, name string) {
-		if v, ok := get(name); ok {
+		if v, ok := sumFamily(name); ok {
 			row(label, fmt.Sprintf("%.0f", v))
 		} else {
 			row(label, absent)
 		}
 	}
 	mb := func(label, name string) {
-		if v, ok := get(name); ok {
+		if v, ok := sumFamily(name); ok {
 			row(label, fmt.Sprintf("%.1f MB", v/(1<<20)))
 		} else {
 			row(label, absent)

@@ -117,6 +117,8 @@ func TestPrintMetricsShardRollup(t *testing.T) {
 		`seer_gateway_retries_total{endpoint="plan"} 5`,
 		`seer_gateway_retries_total{endpoint="events"} 3`,
 		`seer_gateway_route_errors_total{endpoint="plan"} 1`,
+		`seer_hoard_files{shard="0"} 40`,
+		`seer_hoard_files{shard="1"} 2`,
 		``,
 	}, "\n")
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -134,6 +136,7 @@ func TestPrintMetricsShardRollup(t *testing.T) {
 		"serving  restarts 4  admitted 17  shed 2",
 		"draining",
 		"retries 8, route errors 1",
+		"hoard files            42", // per-shard gauges total
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("shard rollup missing %q:\n%s", want, got)

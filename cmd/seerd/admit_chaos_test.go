@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/fmg/seer/internal/core"
 )
 
 // TestAdmissionChaosShedAndRecover is the acceptance scenario for the
@@ -20,14 +18,14 @@ import (
 // recent, and a hot config reload raising the in-flight limit restores
 // 200s with zero restarts — all under -race.
 func TestAdmissionChaosShedAndRecover(t *testing.T) {
-	oldPoll, oldWindow, oldDeadline := confPollEvery, admitShedWindow, planDeadline
+	oldPoll, oldWindow := confPollEvery, admitShedWindow
 	// The shed window must outlast the wedged burst (whose admitted
-	// requests only return after planDeadline) so the degraded state is
-	// still visible when we probe it.
-	confPollEvery, admitShedWindow, planDeadline = time.Millisecond, 2*time.Second, 300*time.Millisecond
-	// Cleanup, not defer: registered before startTestPipeline's cleanup,
-	// so the globals are restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery, admitShedWindow, planDeadline = oldPoll, oldWindow, oldDeadline })
+	// requests only return after the 300ms plan deadline) so the
+	// degraded state is still visible when we probe it.
+	confPollEvery, admitShedWindow = time.Millisecond, 2*time.Second
+	// Cleanup, not defer: registered before runTestHost's cleanup, so
+	// the globals are restored only after the host has stopped.
+	t.Cleanup(func() { confPollEvery, admitShedWindow = oldPoll, oldWindow })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
@@ -38,17 +36,18 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: strace,
-		cfgPath:    cfgFile,
-	})
-	base := "http://" + p.addr()
+	rt := testRuntime(strace)
+	rt.Daemon.GatewayTimeoutMS = 300 // the plan deadline
+	h := newTestHost(t, hostConfig{rt: rt, cfgPath: cfgFile})
+	seed(t, h)
+	runTestHost(t, h)
+	s0 := h.slot0()
+	base := "http://" + h.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
-	waitFor(t, "startup config applied", func() bool { return p.store().Generation() == 2 })
-	if got := p.store().Get().Admit.PlanMaxInFlight; got != 2 {
+	waitFor(t, "startup config applied", func() bool { return h.store.Generation() == 2 })
+	if got := h.store.Get().Admit.PlanMaxInFlight; got != 2 {
 		t.Fatalf("PlanMaxInFlight = %d after startup reload, want 2", got)
 	}
 
@@ -60,17 +59,12 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 
 	// Inject overload: hold the correlator's exclusion so every admitted
 	// /plan blocks until the stale deadline.
-	d.lock()
-	wedged := true
-	defer func() {
-		if wedged {
-			d.unlock()
-		}
-	}()
+	release := s0.Hold()
+	defer release()
 
 	// Fire 8 concurrent /plan. With 2 slots, exactly 6 are shed with
 	// 429 + the configured Retry-After; the admitted 2 serve the stale
-	// cache (200 + X-Seer-Stale) once planDeadline expires.
+	// cache (200 + X-Seer-Stale) once the plan deadline expires.
 	const burst = 8
 	var ok200, shed429, stale atomic.Int64
 	var maxInFlight atomic.Int64
@@ -79,7 +73,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	go func() {
 		defer close(sampleDone)
 		for i := 0; i < 200; i++ {
-			if n := p.planLim.InFlight(); n > maxInFlight.Load() {
+			if n := s0.Limiter().InFlight(); n > maxInFlight.Load() {
 				maxInFlight.Store(n)
 			}
 			time.Sleep(time.Millisecond)
@@ -121,7 +115,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	if got := maxInFlight.Load(); got > 2 {
 		t.Errorf("observed %d in flight, limit is 2: queueing is unbounded", got)
 	}
-	if got := p.planLim.Sheds(); got < uint64(burst-2) {
+	if got := s0.Limiter().Sheds(); got < uint64(burst-2) {
 		t.Errorf("shed counter = %d, want >= %d", got, burst-2)
 	}
 
@@ -135,8 +129,8 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	// Shed counters are exported.
 	if code, _, metrics := httpGet(t, client, base+"/metrics"); code != 200 {
 		t.Errorf("/metrics: %d", code)
-	} else if !strings.Contains(metrics, `seer_admit_shed_total{endpoint="plan"}`) {
-		t.Errorf("metrics missing plan shed counter:\n%s", metrics)
+	} else if !strings.Contains(metrics, `seer_admit_shed_total{endpoint="shard0"}`) {
+		t.Errorf("metrics missing the shard's shed counter:\n%s", metrics)
 	}
 
 	// Hot reload raises the limit WHILE the correlator is still wedged —
@@ -145,12 +139,11 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "limit-raising reload applied under wedge", func() bool {
-		return p.store().Generation() == 3
+		return h.store.Generation() == 3
 	})
 
 	// Clear the overload; the same burst now fully succeeds, fresh.
-	d.unlock()
-	wedged = false
+	release()
 	var after200 atomic.Int64
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
@@ -171,7 +164,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 
 	// Once the shed window passes, health recovers — zero restarts.
 	waitHealth(t, client, base, "healthy")
-	if got := p.sup.Restarts(); got != 0 {
+	if got := restarts(h); got != 0 {
 		t.Errorf("stage restarts = %d, want 0: recovery must come from reload, not restart", got)
 	}
 }

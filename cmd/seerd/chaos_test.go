@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,8 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/fault"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
 	"github.com/fmg/seer/internal/trace"
 )
@@ -100,37 +101,45 @@ func probeState(rep supervise.Report, name string) string {
 	return "missing"
 }
 
-// TestChaosPipeline runs a real supervised seerd pipeline while faults
-// are injected — feeder panics, tailer panics up to a tripped breaker,
-// a stalled tail read, corrupt trace lines, failing checkpoints, and a
+// restarts is every stage restart in h: the process stages plus each
+// shard's own tree (folded across drains).
+func restarts(h *host) uint64 {
+	n := h.sup.Restarts()
+	for _, info := range h.mgr.Report() {
+		n += info.Restarts
+	}
+	return n
+}
+
+// TestChaosPipeline runs a real supervised seerd while faults are
+// injected — feeder panics, tailer panics up to a tripped breaker, a
+// stalled tail read, corrupt trace lines, failing checkpoints, and a
 // wedged clustering — asserting the daemon answers /plan throughout,
 // health transitions track the injected faults (healthy → degraded →
 // healthy), recovery lands within the backoff budget, and ≥10 induced
 // stage restarts leak no goroutines.
 func TestChaosPipeline(t *testing.T) {
-	oldPoll, oldDeadline := followPoll, planDeadline
-	followPoll, planDeadline = 5*time.Millisecond, 300*time.Millisecond
-	defer func() { followPoll, planDeadline = oldPoll, oldDeadline }()
+	oldPoll := followPoll
+	followPoll = 5 * time.Millisecond
+	defer func() { followPoll = oldPoll }()
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seer.strace")
-	db := filepath.Join(dir, "seer.db")
 	appendLine(t, path, "bootstrap noise before follow\n")
-
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
 
 	tailPanic := fault.NewPanicAfter(0) // disarmed
 	feedPanic := fault.NewPanicAfter(0)
 	var sink fault.Sink
 	var stall atomic.Pointer[fault.StallReader]
 
-	cfg := pipelineConfig{
-		stracePath:      path,
-		follow:          true,
-		dbPath:          db,
-		listen:          "127.0.0.1:0",
-		queueCap:        128,
-		queueBlock:      5 * time.Millisecond,
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.DB = filepath.Join(dir, "seer.db")
+	rt.Daemon.QueueCap = 128
+	rt.Daemon.QueueBlockMS = 5
+	rt.Daemon.GatewayTimeoutMS = 300 // the plan deadline
+	h := newTestHost(t, hostConfig{
+		rt:              rt,
 		checkpointEvery: 20 * time.Millisecond,
 		supervisor: supervise.Config{
 			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
@@ -138,40 +147,19 @@ func TestChaosPipeline(t *testing.T) {
 			Window:     time.Minute,
 			ResetAfter: 50 * time.Millisecond,
 		},
-	}
-	p := newPipeline(d, cfg)
-	p.wrapTail = func(r io.Reader) io.Reader {
+	})
+	h.wrapTail = func(r io.Reader) io.Reader {
 		sr := fault.NewStallReader(&fault.PanicReader{R: r, After: tailPanic})
 		stall.Store(sr)
 		return sr
 	}
-	origFeed := p.feed
-	p.feed = func(ev trace.Event) {
-		feedPanic.Hit()
-		origFeed(ev)
-	}
-	origSave := p.save
-	p.save = func() error { return sink.Do(origSave) }
+	s0 := h.slot0()
+	s0.SetFeedHook(func(trace.Event) { feedPanic.Hit() })
+	s0.SetSaveWrapper(sink.Do)
+	stop := runTestHost(t, h)
+	defer stop()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.start(ctx)
-	defer func() {
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not shut down")
-		}
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	base := "http://" + p.addr()
+	base := "http://" + h.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
@@ -185,9 +173,9 @@ func TestChaosPipeline(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	feedN(5)
-	waitEvents(t, d, 3)
-	if code, hdr, body := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" || body == "" {
-		t.Fatalf("baseline /plan: code=%d stale=%q body=%q", code, hdr.Get(staleHeader), body)
+	waitEvents(t, h, 3)
+	if code, hdr, body := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" || body == "" {
+		t.Fatalf("baseline /plan: code=%d stale=%q body=%q", code, hdr.Get(shard.StaleHeader), body)
 	}
 	waitHealth(t, client, base, "healthy")
 	client.CloseIdleConnections()
@@ -197,10 +185,10 @@ func TestChaosPipeline(t *testing.T) {
 	// ---- Phase 1: feeder panics. Each armed panic kills the feeder
 	// mid-event; the supervisor restarts it and ingestion resumes. ----
 	for i := 0; i < 5; i++ {
-		before := p.sup.Restarts()
+		before := restarts(h)
 		feedPanic.Arm(1)
 		feedN(1)
-		waitFor(t, "feeder restart", func() bool { return p.sup.Restarts() > before })
+		waitFor(t, "feeder restart", func() bool { return restarts(h) > before })
 		if code, _, _ := httpGet(t, client, base+"/plan"); code != 200 {
 			t.Fatalf("/plan during feeder chaos: code=%d", code)
 		}
@@ -209,18 +197,14 @@ func TestChaosPipeline(t *testing.T) {
 	feedN(2)
 	// 5 baseline + 5 chaos lines (each armed panic loses exactly one
 	// in-flight event) + 2 after disarming = at least 7 learned.
-	waitEvents(t, d, 7)
+	waitEvents(t, h, 7)
 	waitHealth(t, client, base, "healthy")
 
 	// ---- Phase 2: corrupt trace lines. Garbage must be skipped, and
 	// valid lines behind it still learned. ----
 	appendLine(t, path, "!!corrupt!! \x00\x01 not strace at all\n")
 	appendLine(t, path, strings.Repeat("z", 2048)+"\n")
-	wantEvents := func() uint64 {
-		d.lock()
-		defer d.unlock()
-		return d.corr.Events()
-	}
+	wantEvents := s0.Events
 	beforeCorrupt := wantEvents()
 	feedN(2)
 	waitFor(t, "valid lines after corruption", func() bool { return wantEvents() > beforeCorrupt })
@@ -245,11 +229,11 @@ func TestChaosPipeline(t *testing.T) {
 	// recovers. /plan serves fresh plans the whole time. ----
 	sink.Break()
 	rep := waitHealth(t, client, base, "degraded")
-	if probeState(rep, "checkpoint") != "degraded" {
-		t.Fatalf("checkpoint probe = %s during sink break; report %+v", probeState(rep, "checkpoint"), rep)
+	if got := probeState(s0.Report(), "checkpoint"); got != "degraded" {
+		t.Fatalf("checkpoint probe = %s during sink break; report %+v", got, rep)
 	}
-	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" {
-		t.Fatalf("/plan during checkpoint faults: code=%d stale=%q", code, hdr.Get(staleHeader))
+	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" {
+		t.Fatalf("/plan during checkpoint faults: code=%d stale=%q", code, hdr.Get(shard.StaleHeader))
 	}
 	sink.Heal()
 	waitHealth(t, client, base, "healthy")
@@ -307,50 +291,50 @@ func TestChaosPipeline(t *testing.T) {
 	// lock past the plan deadline; /plan falls back to the last-good
 	// plan, marked stale, and repeated failures degrade the plan
 	// probe. Releasing the wedge restores fresh plans. ----
-	d.lock()
-	for i := 0; i < planDegradedAfter; i++ {
+	release := s0.Hold()
+	for i := 0; i < shard.PlanDegradedAfter; i++ {
 		code, hdr, body := httpGet(t, client, base+"/plan")
-		if code != 200 || hdr.Get(staleHeader) != "true" || body == "" {
-			t.Fatalf("wedged /plan: code=%d stale=%q len=%d", code, hdr.Get(staleHeader), len(body))
+		if code != 200 || hdr.Get(shard.StaleHeader) != "true" || body == "" {
+			t.Fatalf("wedged /plan: code=%d stale=%q len=%d", code, hdr.Get(shard.StaleHeader), len(body))
 		}
 	}
-	rep = waitHealth(t, client, base, "degraded")
-	if probeState(rep, "plan") != "degraded" {
-		t.Fatalf("plan probe = %s while wedged", probeState(rep, "plan"))
+	waitHealth(t, client, base, "degraded")
+	if got := probeState(s0.Report(), "plan"); got != "degraded" {
+		t.Fatalf("plan probe = %s while wedged", got)
 	}
-	d.unlock()
-	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" {
-		t.Fatalf("post-wedge /plan: code=%d stale=%q", code, hdr.Get(staleHeader))
+	release()
+	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" {
+		t.Fatalf("post-wedge /plan: code=%d stale=%q", code, hdr.Get(shard.StaleHeader))
 	}
 	waitHealth(t, client, base, "healthy")
 
 	// ---- Invariants: enough induced restarts, and no goroutine leak
 	// across them. ----
-	if got := p.sup.Restarts(); got < 10 {
+	if got := restarts(h); got < 10 {
 		t.Errorf("induced restarts = %d, want >= 10", got)
 	}
 
 	// ---- Scrape after chaos: the registry must still render valid
 	// Prometheus text, and its func-backed series must agree exactly
-	// with the pipeline's own state. ----
+	// with the supervisors' and the queue's own state. ----
 	vals := scrapeMetrics(t, client, base)
 	var restartSum float64
 	for k, v := range vals {
-		if strings.HasPrefix(k, "seer_stage_restarts_total{") {
+		if strings.HasPrefix(k, "seer_stage_restarts_total{") || strings.HasPrefix(k, "seer_shard_restarts_total{") {
 			restartSum += v
 		}
 	}
-	if want := float64(p.sup.Restarts()); restartSum != want {
-		t.Errorf("sum of seer_stage_restarts_total = %v, supervisor says %v", restartSum, want)
+	if want := float64(restarts(h)); restartSum != want {
+		t.Errorf("sum of seer_stage_restarts_total and seer_shard_restarts_total = %v, supervisors say %v", restartSum, want)
 	}
-	if got, want := vals["seer_queue_shed_total"], float64(p.queue.Drops()); got != want {
-		t.Errorf("seer_queue_shed_total = %v, queue says %v", got, want)
+	if _, _, drops := s0.QueueStats(); vals["seer_queue_shed_total"] != float64(drops) {
+		t.Errorf("seer_queue_shed_total = %v, queue says %v", vals["seer_queue_shed_total"], drops)
 	}
 	if got, want := vals["seer_events_ingested_total"], float64(wantEvents()); got != want {
 		t.Errorf("seer_events_ingested_total = %v, correlator says %v", got, want)
 	}
-	if got := vals["seer_stale_plans_served_total"]; got < float64(planDegradedAfter) {
-		t.Errorf("seer_stale_plans_served_total = %v, want >= %d (wedged phase)", got, planDegradedAfter)
+	if got := vals["seer_stale_plans_served_total"]; got < float64(shard.PlanDegradedAfter) {
+		t.Errorf("seer_stale_plans_served_total = %v, want >= %d (wedged phase)", got, shard.PlanDegradedAfter)
 	}
 	if got := vals["seer_health_state"]; got != 0 {
 		t.Errorf("seer_health_state = %v after recovery, want 0 (healthy)", got)
@@ -362,7 +346,7 @@ func TestChaosPipeline(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if now := runtime.NumGoroutine(); now > baselineGoroutines+slack {
-		t.Errorf("goroutines grew %d -> %d across %d restarts", baselineGoroutines, now, p.sup.Restarts())
+		t.Errorf("goroutines grew %d -> %d across %d restarts", baselineGoroutines, now, restarts(h))
 	}
 }
 
@@ -382,32 +366,31 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestUnavailableRefusesPlans pins the 503 policy: only Unavailable
 // (a broken critical stage) refuses /plan; Degraded keeps serving.
 func TestUnavailableRefusesPlans(t *testing.T) {
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	sup := supervise.New(supervise.Config{
+	// The main listener's port is taken, so the critical http stage
+	// fails until its breaker trips.
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	rt := testRuntime("-")
+	rt.Daemon.Listen = taken.Addr().String()
+	h := newTestHost(t, hostConfig{rt: rt, supervisor: supervise.Config{
 		Backoff:    supervise.Backoff{Initial: time.Millisecond, Max: 2 * time.Millisecond},
 		BreakAfter: 2,
 		Window:     time.Minute,
-	})
-	sup.Add("listener", func(ctx context.Context) error {
-		return fmt.Errorf("bind: injected")
-	}, supervise.Critical())
-	d.sup = sup
+	}})
+	defer h.mgr.Close()
+	seed(t, h)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sup.Start(ctx)
-	waitFor(t, "unavailable", func() bool { return sup.Health() == supervise.Unavailable })
+	defer func() { cancel(); h.sup.Wait() }()
+	h.sup.Start(ctx)
+	waitFor(t, "unavailable", func() bool { return h.sup.Health() == supervise.Unavailable })
 
+	mux := h.mainMux()
 	for _, path := range []string{"/plan", "/hoard", "/clusters"} {
-		req := httptest.NewRequest("GET", path, nil)
 		rr := httptest.NewRecorder()
-		switch path {
-		case "/plan":
-			d.handlePlan(rr, req)
-		case "/hoard":
-			d.handleHoard(rr, req)
-		case "/clusters":
-			d.handleClusters(rr, req)
-		}
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
 		if rr.Code != http.StatusServiceUnavailable {
 			t.Errorf("%s while unavailable: code=%d, want 503", path, rr.Code)
 		}

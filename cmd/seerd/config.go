@@ -8,9 +8,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/fmg/seer/internal/admit"
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/shard"
 )
 
 // admitShedWindow is how long after the last shed the admission probe
@@ -24,11 +24,15 @@ var confPollEvery = time.Second
 // applyConfig is the hot-reload path: parse data over the flag-derived
 // base runtime (so removing a file line reverts that setting to its
 // flag value), validate the result as a whole, refuse structural
-// changes, then swap the store and push every hot setting into the
-// live components. A rejected reload leaves the active config serving
-// untouched; both outcomes are counted and recorded for /debug/config.
-func (p *pipeline) applyConfig(data []byte) error {
-	next := p.cfg.base
+// changes, then swap the store and push every hot setting into the live
+// components. Shards get it through ApplyRuntime, which reaches only
+// shards in the serving state, so a SIGHUP landing mid-drain can
+// neither resurrect the draining shard nor retune a closed one (its
+// replacement opens with the new runtime instead). A rejected reload
+// leaves the active config serving untouched; both outcomes are counted
+// and recorded for /debug/config.
+func (h *host) applyConfig(data []byte) error {
+	next := h.base
 	err := func() error {
 		if err := config.ApplyFile(&next, bytes.NewReader(data)); err != nil {
 			return err
@@ -36,93 +40,45 @@ func (p *pipeline) applyConfig(data []byte) error {
 		if err := next.Validate(); err != nil {
 			return err
 		}
-		if diffs := config.StructuralDiff(*p.store().Get(), next); len(diffs) > 0 {
+		if diffs := config.StructuralDiff(*h.store.Get(), next); len(diffs) > 0 {
 			return fmt.Errorf("structural settings cannot change on a live reload: %s",
 				strings.Join(diffs, ", "))
 		}
 		return nil
 	}()
 	if err != nil {
-		p.store().RecordReload(err)
-		p.mReloadRejected.Inc()
+		h.store.RecordReload(err)
+		h.mReloadRejected.Inc()
 		logger.Warn("config reload rejected; active config unchanged",
 			"component", "confwatch", "err", err)
 		return err
 	}
-	old := *p.store().Get()
+	old := *h.store.Get()
 	changed := config.Changed(old, next)
-	gen := p.store().Swap(next)
-	p.propagate(old, next)
-	p.store().RecordReload(nil)
-	p.mReloadApplied.Inc()
-	logger.Info("config reloaded", "component", "confwatch",
-		"generation", gen, "changed", strings.Join(changed, " "))
-	return nil
-}
-
-// propagate pushes the hot settings of next into the running daemon.
-// Structural differences were already rejected, so everything here is
-// safe to apply live.
-func (p *pipeline) propagate(old, next config.Runtime) {
-	dm := next.Daemon
-	p.queue.SetCap(dm.QueueCap)
-	p.queue.SetBlock(time.Duration(dm.QueueBlockMS) * time.Millisecond)
-	p.d.budget.Store(dm.HoardBudgetMB << 20)
-	if lv, err := obs.ParseLevel(dm.LogLevel); err == nil {
+	gen := h.store.Swap(next)
+	if lv, lerr := obs.ParseLevel(next.Daemon.LogLevel); lerr == nil {
 		logger.SetLevel(lv)
 	}
-	logger.SetJSON(dm.LogFormat == "json")
-	p.d.tracer.SetEnabled(dm.Tracing)
-	p.applyLimits(next)
-	if paramsChanged(old, next) {
-		// Correlator params need the same exclusion Feed holds; taken only
-		// when a param actually changed so an admission-limit reload never
-		// waits behind a long clustering.
-		p.d.lock()
-		p.d.corr.SetParams(next.Params)
-		p.d.unlock()
+	logger.SetJSON(next.Daemon.LogFormat == "json")
+	h.tracer.SetEnabled(next.Daemon.Tracing)
+	h.gw.SetPolicy(shard.PolicyFromRuntime(next))
+	if h.rumorLim != nil {
+		h.rumorLim.SetLimits(rumorLimits(next))
 	}
-}
-
-// paramsChanged reports whether any correlator Param differs between
-// old and next. Compared structurally rather than via ParamNames() so
-// knobs outside the paper's named table (the cluster churn threshold)
-// propagate too; SetParams itself decides which differences actually
-// invalidate the cluster cache.
-func paramsChanged(old, next config.Runtime) bool {
-	return old.Params != next.Params
-}
-
-// applyLimits pushes rt's admission section into the endpoint limiters.
-func (p *pipeline) applyLimits(rt config.Runtime) {
-	a := rt.Admit
-	lat := time.Duration(a.MaxLatencyMS) * time.Millisecond
-	ra := time.Duration(a.RetryAfterSec) * time.Second
-	p.planLim.SetLimits(admit.Limits{
-		MaxInFlight: a.PlanMaxInFlight,
-		MaxQueuePct: a.MaxQueuePct,
-		MaxLatency:  lat,
-		RetryAfter:  ra,
-	})
-	p.missLim.SetLimits(admit.Limits{
-		MaxInFlight: a.MissMaxInFlight,
-		MaxLatency:  lat,
-		RetryAfter:  ra,
-	})
-	if p.rumorLim != nil {
-		p.rumorLim.SetLimits(admit.Limits{
-			MaxInFlight: a.RumorMaxInFlight,
-			MaxLatency:  lat,
-			RetryAfter:  ra,
-		})
-	}
+	skipped := h.mgr.ApplyRuntime(next)
+	h.store.RecordReload(nil)
+	h.mReloadApplied.Inc()
+	logger.Info("config reloaded", "component", "confwatch",
+		"generation", gen, "changed", strings.Join(changed, " "),
+		"shards_skipped", fmt.Sprint(skipped))
+	return nil
 }
 
 // kickReload forces an immediate config-file check (SIGHUP); a no-op
 // without a watched file.
-func (p *pipeline) kickReload() {
-	if p.watcher != nil {
-		p.watcher.Kick()
+func (h *host) kickReload() {
+	if h.watcher != nil {
+		h.watcher.Kick()
 	}
 }
 
@@ -137,18 +93,18 @@ type debugConfigResponse struct {
 // handleDebugConfig serves the active (redacted) configuration and the
 // outcome of the last reload attempt. GET only; other methods get 405
 // with Allow, matching the other endpoints.
-func (p *pipeline) handleDebugConfig(w http.ResponseWriter, req *http.Request) {
+func (h *host) handleDebugConfig(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "method not allowed; use GET", http.StatusMethodNotAllowed)
 		return
 	}
 	resp := debugConfigResponse{
-		Generation: p.store().Generation(),
-		ConfigFile: p.cfg.cfgPath,
-		Settings:   config.Describe(*p.store().Get()),
+		Generation: h.store.Generation(),
+		ConfigFile: h.cfgPath,
+		Settings:   config.Describe(*h.store.Get()),
 	}
-	if st := p.store().LastReload(); !st.At.IsZero() {
+	if st := h.store.LastReload(); !st.At.IsZero() {
 		resp.LastReload = &st
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -14,31 +14,38 @@
 //
 // Endpoints: /plan (inclusion order), /hoard (chosen files at the
 // budget), /clusters, /stats, /miss?path=... (POST; record a hoard
-// miss and force the file's project into future plans, §4.4), and
-// /healthz + /readyz (JSON health detail). Without -listen, seerd
-// prints the hoard list once and exits. With -debug-addr, a second
-// listener serves net/http/pprof profiles, expvar counters, and the
-// same health endpoints. With -rumor, the CheapRumor replication
-// master (the same wire protocol cmd/rumord serves) is mounted under
-// /rumor/, so laptops can reconcile against the seerd host directly
-// via replic.RemoteRumor.
+// miss and force the file's project into future plans, §4.4), POST
+// /events (more strace lines), /shards, and /healthz + /readyz (JSON
+// health detail). Without -listen, seerd prints the hoard list once and
+// exits. With -debug-addr, a second listener serves net/http/pprof
+// profiles and the same observability endpoints. With -rumor, the
+// CheapRumor replication master (the same wire protocol cmd/rumord
+// serves) is mounted under /rumor/, so laptops can reconcile against
+// the seerd host directly via replic.RemoteRumor.
 //
-// Supervision: in serving mode every stage — strace tailer, correlator
-// feeder, checkpointer, HTTP listeners — runs under a supervisor that
-// captures panics and restarts the stage with exponential backoff and
-// jitter; a stage that keeps failing trips a circuit breaker and flips
-// overall health (healthy → degraded → unavailable) instead of
-// crash-looping. The tailer hands events to the feeder through a
-// bounded queue (block briefly, then shed-oldest with a drop counter),
-// so a wedged clustering can never stall the tail loop, and /plan and
-// /hoard fall back to the last-good plan (X-Seer-Stale: true) when a
-// fresh one cannot be built before the deadline.
+// One serving path: seerd always runs fault-isolated user shards behind
+// a consistent-hash gateway (internal/shard). -shards N hosts N of
+// them, fed per user through POST /events?user=. A plain seerd
+// (-shards 0, the default) is the one-shard deployment of the same
+// runtime: the local strace input feeds slot 0, and ?user= is optional.
 //
-// Durability: with -db, the database is restored at startup through a
-// recovery ladder (snapshot, then its .bak rotation, then a fresh
-// database — corruption is logged, never fatal), checkpointed
-// atomically with fsync while following, and checkpointed a final time
-// on SIGINT/SIGTERM before a graceful HTTP shutdown.
+// Supervision: every stage — strace tailer, each shard's feeder and
+// checkpointer, HTTP listeners — runs under a supervisor that captures
+// panics and restarts the stage with exponential backoff and jitter; a
+// stage that keeps failing trips a circuit breaker and flips health
+// (healthy → degraded → unavailable) instead of crash-looping. The
+// tailer hands events to the shard's feeder through a bounded queue
+// (block briefly, then shed-oldest with a drop counter), so a wedged
+// clustering can never stall the tail loop, and /plan and /hoard fall
+// back to the last-good plan (X-Seer-Stale: true) when a fresh one
+// cannot be built before the deadline.
+//
+// Durability: with -db (one shard) or -shard-dir, each shard's database
+// is restored at startup through a recovery ladder (snapshot, then its
+// .bak rotation, then a fresh database — corruption is logged, never
+// fatal), checkpointed atomically with fsync while serving, and
+// checkpointed a final time on SIGINT/SIGTERM after a graceful HTTP
+// shutdown.
 package main
 
 import (
@@ -54,9 +61,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/config"
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/obs"
-	"github.com/fmg/seer/internal/strace"
 )
 
 func main() {
@@ -101,128 +106,103 @@ func main() {
 	logger.SetLevel(lv)
 	logger.SetJSON(rt.Daemon.LogFormat == "json")
 
-	// Multi-tenant mode: N fault-isolated user shards behind the
-	// gateway. Events arrive per user via POST /events, not a local
-	// strace tail, so the single-tenant bootstrap below is skipped.
-	if rt.Daemon.Shards > 0 {
-		runSharded(rt, base, *cfgPath, cfgData)
-		return
-	}
+	os.Exit(run(rt, base, *cfgPath, cfgData))
+}
 
+// run opens the shards, feeds a one-shard deployment its local trace,
+// and then either prints the hoard once (no -listen) or serves until a
+// signal. It returns the process exit code.
+func run(rt, base config.Runtime, cfgPath string, cfgData []byte) int {
+	if rt.Daemon.ShardDir != "" {
+		if err := os.MkdirAll(rt.Daemon.ShardDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "seerd: shard-dir: %v\n", err)
+			return 1
+		}
+	}
 	var in io.Reader = os.Stdin
-	if rt.Daemon.Strace != "-" {
+	if rt.Daemon.Shards == 0 && rt.Daemon.Strace != "-" {
 		f, err := os.Open(rt.Daemon.Strace)
 		if err != nil {
 			logger.Error("cannot open strace file", "path", rt.Daemon.Strace, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		in = f
 	}
 
-	opts := core.Options{Seed: 1, Params: &rt.Params}
-	dbPath := rt.Daemon.DB
-	listen := rt.Daemon.Listen
-	d := newDaemon(restoreDB(dbPath, opts), rt.Daemon.HoardBudgetMB<<20)
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	h := newHost(ctx, hostConfig{rt: rt, base: base, cfgPath: cfgPath, cfgData: cfgData})
 
-	// Bootstrap: one cold pass over the existing trace, recorded as its
-	// own ingestion trace so /debug/traces shows the cold load next to
-	// the follow batches. A signal during a large read stops it
-	// promptly; whatever was learned up to that point is still
-	// checkpointed below before a clean exit.
-	parser := strace.NewParser()
-	interrupted := false
-	tid := d.tracer.NewTrace()
-	sp := d.tracer.StartSpan(tid, "ingest").Attr("source", "bootstrap")
-	var bootN int64
-	err := feedLines(ctx, in, maxLineLen, func(line string) {
-		if ev, ok := parser.ParseLine(line); ok {
-			bootN++
-			d.corr.Feed(ev)
-		}
-	})
-	sp.AttrInt("events", bootN).End()
-	d.setTrace(tid)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			logger.Warn("interrupted during bootstrap; continuing",
-				"events", d.corr.Events())
-			interrupted = true
-		} else {
+	if rt.Daemon.Shards == 0 {
+		// Bootstrap: one cold pass over the existing trace, recorded as
+		// its own ingestion trace so /debug/traces shows the cold load
+		// next to the follow batches. A signal during a large read stops
+		// it promptly; whatever was learned up to that point is still
+		// checkpointed before a clean exit.
+		n, err := h.bootstrap(ctx, in)
+		switch {
+		case errors.Is(err, context.Canceled):
+			logger.Warn("interrupted during bootstrap; checkpointing", "events", n)
+			return closeHost(h)
+		case err != nil:
 			// A bad input stream costs the unread tail, not the
 			// accumulated database: keep going with what was learned.
-			logger.Warn("bootstrap read failed; continuing",
-				"err", err, "events", d.corr.Events())
+			logger.Warn("bootstrap read failed; continuing", "err", err, "events", n)
+		}
+		if rt.Daemon.Listen == "" {
+			return printHoard(h, os.Stdout)
 		}
 	}
 
-	if dbPath != "" {
-		if err := saveDB(d, dbPath); err != nil {
-			logger.Error("checkpoint failed", "path", dbPath, "err", err)
-			if listen == "" {
-				os.Exit(1)
-			}
-		}
-	}
-	if interrupted {
-		return
-	}
-
-	if listen == "" {
-		d.printHoard(os.Stdout)
-		return
-	}
-
-	p := newPipeline(d, pipelineConfig{
-		store:   config.NewStore(rt),
-		base:    base,
-		cfgPath: *cfgPath,
-		cfgData: cfgData,
-
-		stracePath: rt.Daemon.Strace,
-		follow:     rt.Daemon.Follow,
-		dbPath:     dbPath,
-		listen:     listen,
-		debugAddr:  rt.Daemon.DebugAddr,
-		queueCap:   rt.Daemon.QueueCap,
-		queueBlock: time.Duration(rt.Daemon.QueueBlockMS) * time.Millisecond,
-		rumor:      rt.Daemon.Rumor,
-	})
 	// SIGHUP forces an immediate config-file check, the conventional
 	// "reload now" signal alongside the steady poll.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			p.kickReload()
+			h.kickReload()
 		}
 	}()
-	p.start(ctx)
+	h.sup.Start(ctx)
 	// Wait for the listener to bind so the startup line reports the
 	// resolved address (":0" becomes a concrete port).
-	for i := 0; i < 100 && p.addr() == ""; i++ {
+	for i := 0; i < 100 && h.addr() == ""; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	logger.Info("serving", "events", d.corr.Events(), "addr", p.addr(),
-		"trace", tid.String())
+	logger.Info("serving", "shards", h.mgr.Len(), "events", h.mgr.Shard(0).Events(),
+		"addr", h.addr(), "shard_dir", rt.Daemon.ShardDir, "db", rt.Daemon.DB)
 	if rt.Daemon.DebugAddr != "" {
-		logger.Info("debug endpoints up", "addr", p.debugAddr())
+		logger.Info("debug endpoints up", "addr", h.debugAddr())
 	}
 
 	<-ctx.Done()
 	logger.Info("signal received, shutting down")
-	p.wait()
-	p.drain()
-	// Graceful exit: one final checkpoint so nothing learned since the
-	// last periodic save is lost.
-	if dbPath != "" {
-		if err := saveDB(d, dbPath); err != nil {
-			logger.Error("final checkpoint failed", "path", dbPath, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("final checkpoint saved", "path", dbPath)
+	h.sup.Wait()
+	return closeHost(h)
+}
+
+// printHoard is one-shot mode: write slot 0's hoard listing to w, then
+// close the host.
+func printHoard(h *host, w io.Writer) int {
+	body, _, err := h.mgr.Shard(0).Hoard(context.Background())
+	if err != nil {
+		logger.Error("hoard failed", "err", err)
+		closeHost(h)
+		return 1
 	}
+	w.Write(body)
+	return closeHost(h)
+}
+
+// closeHost drains every shard to its final checkpoint, so nothing
+// learned since the last periodic save is lost, and maps a failed
+// checkpoint to exit code 1.
+func closeHost(h *host) int {
+	if err := h.mgr.Close(); err != nil {
+		logger.Error("final checkpoint failed", "err", err)
+		return 1
+	}
+	logger.Info("final checkpoints saved", "shards", h.mgr.Len())
+	return 0
 }

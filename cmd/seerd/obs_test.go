@@ -1,16 +1,13 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/obs"
-	"github.com/fmg/seer/internal/supervise"
 )
 
 // scrapeMetrics fetches base/metrics and parses the exposition into a
@@ -31,8 +28,10 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) map[string]fl
 // TestTraceFollowsBatchToPlan pins the end-to-end tracing contract: a
 // trace id assigned at strace ingestion is retrievable at /debug/traces
 // after the plan is built, with ingest, feed, and plan spans joined
-// under that id. It also smoke-checks that the /metrics exposition on
-// the main listener carries the core series the README documents.
+// under that id. The gateway roots every request in its own span, so a
+// /plan joins the batch's trace by carrying it as traceparent. It also
+// smoke-checks that the /metrics exposition on the main listener
+// carries the core series the README documents.
 func TestTraceFollowsBatchToPlan(t *testing.T) {
 	oldPoll := followPoll
 	followPoll = 5 * time.Millisecond
@@ -42,19 +41,14 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	path := dir + "/seer.strace"
 	appendLine(t, path, "seed line before follow\n")
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p := newPipeline(d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-		listen:     "127.0.0.1:0",
-		rumor:      true,
-		supervisor: supervise.Config{
-			Backoff: supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2},
-		},
-	})
-	shutdown, client := startPipeline(t, p)
-	defer shutdown()
-	base := "http://" + p.addr()
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.Rumor = true
+	h := newTestHost(t, hostConfig{rt: rt})
+	defer runTestHost(t, h)()
+	base := "http://" + h.addr()
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
 
 	// One ingestion batch: the tailer reads these lines in one burst and
 	// closes the batch at the next EOF pause, publishing its trace id.
@@ -62,12 +56,32 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		appendLine(t, path, chaosLine(i))
 	}
-	waitEvents(t, d, 3)
-	waitFor(t, "ingestion batch trace id", func() bool { return d.trace() != 0 })
-	tid := d.trace()
+	waitEvents(t, h, 3)
+	var tid obs.TraceID
+	waitFor(t, "ingestion batch trace id", func() bool {
+		for _, sp := range h.tracer.Spans() {
+			for _, a := range sp.Attrs {
+				if sp.Stage == "ingest" && a == (obs.Attr{Key: "source", Value: "follow"}) {
+					tid = sp.Trace
+					return true
+				}
+			}
+		}
+		return false
+	})
 
-	if code, _, _ := httpGet(t, client, base+"/plan"); code != 200 {
-		t.Fatalf("/plan: code=%d", code)
+	req, err := http.NewRequest("GET", base+"/plan", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Inject(req.Header, obs.SpanContext{Trace: tid, Span: 1})
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/plan: code=%d", resp.StatusCode)
 	}
 
 	// The trace id from ingestion must now resolve at /debug/traces to
@@ -118,34 +132,4 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	if stageSeries == 0 {
 		t.Error("/metrics has no seer_stage_restarts_total series")
 	}
-}
-
-// startPipeline launches p and waits for its main listener to bind.
-// The returned shutdown must run via defer (not t.Cleanup) so it
-// precedes the caller's own deferred global restores.
-func startPipeline(t *testing.T, p *pipeline) (shutdown func(), client *http.Client) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	client = &http.Client{Timeout: 10 * time.Second}
-	shutdown = func() {
-		client.CloseIdleConnections()
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not shut down")
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.addr() == "" {
-		shutdown()
-		t.Fatal("listener never bound")
-	}
-	return shutdown, client
 }

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/fmg/seer/internal/core"
 )
 
 // TestReloadRaceUnderLoad hammers /plan and /hoard while a writer loop
@@ -21,26 +19,28 @@ import (
 // rejected reloads are both counted, ingestion drops nothing, and no
 // stage restarts.
 func TestReloadRaceUnderLoad(t *testing.T) {
-	oldPoll, oldDeadline, oldFollow := confPollEvery, planDeadline, followPoll
-	confPollEvery, planDeadline, followPoll = time.Millisecond, 5*time.Second, 5*time.Millisecond
-	// Cleanup, not defer: registered before startTestPipeline's cleanup,
-	// so the globals are restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery, planDeadline, followPoll = oldPoll, oldDeadline, oldFollow })
+	oldPoll, oldFollow := confPollEvery, followPoll
+	confPollEvery, followPoll = time.Millisecond, 5*time.Millisecond
+	// Cleanup, not defer: registered before runTestHost's cleanup, so
+	// the globals are restored only after the host has stopped.
+	t.Cleanup(func() { confPollEvery, followPoll = oldPoll, oldFollow })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
 	cfgFile := filepath.Join(dir, "seerd.conf")
 	appendLine(t, strace, "bootstrap noise\n")
 
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: strace,
-		follow:     true,
-		queueCap:   64,
-		queueBlock: 5 * time.Millisecond,
-		cfgPath:    cfgFile,
-	})
-	base := "http://" + p.addr()
+	rt := testRuntime(strace)
+	rt.Daemon.Follow = true
+	rt.Daemon.QueueCap = 64
+	rt.Daemon.QueueBlockMS = 5
+	rt.Daemon.GatewayTimeoutMS = 5000 // the plan deadline
+	h := newTestHost(t, hostConfig{rt: rt, cfgPath: cfgFile})
+	seed(t, h)
+	runTestHost(t, h)
+	s0 := h.slot0()
+	queueCap := func() int { _, c, _ := s0.QueueStats(); return c }
+	base := "http://" + h.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
@@ -81,7 +81,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			rt := p.store().Get()
+			rt := h.store.Get()
 			if err := rt.Validate(); err != nil {
 				t.Errorf("active config invalid: %v", err)
 				return
@@ -94,7 +94,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 				t.Errorf("torn KNear %d", k)
 				return
 			}
-			if c := p.queue.Cap(); c != 64 && c != 256 {
+			if c := queueCap(); c != 64 && c != 256 {
 				t.Errorf("live queue cap %d not a written value", c)
 				return
 			}
@@ -134,18 +134,18 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "final config applied", func() bool {
-		rt := p.store().Get()
+		rt := h.store.Get()
 		return rt.Daemon.QueueCap == 256 && rt.Params.KNear == 5 &&
-			p.store().LastReload().OK
+			h.store.LastReload().OK
 	})
 
 	stop.Store(true)
 	wg.Wait()
 
-	if applied := p.mReloadApplied.Value(); applied < 10 {
+	if applied := h.mReloadApplied.Value(); applied < 10 {
 		t.Errorf("only %d reloads applied; the loop should apply dozens", applied)
 	}
-	if rejected := p.mReloadRejected.Value(); rejected < 10 {
+	if rejected := h.mReloadRejected.Value(); rejected < 10 {
 		t.Errorf("only %d reloads rejected; the loop should reject dozens", rejected)
 	}
 	if hammered.Load() == 0 {
@@ -153,24 +153,21 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 	}
 
 	// The live components converged on the final config.
-	if got := p.queue.Cap(); got != 256 {
+	if got := queueCap(); got != 256 {
 		t.Errorf("queue cap = %d, want 256", got)
 	}
-	d.lock()
-	knear := d.corr.Params().KNear
-	d.unlock()
-	if knear != 5 {
+	if knear := s0.Params().KNear; knear != 5 {
 		t.Errorf("correlator KNear = %d, want 5", knear)
 	}
 
 	// No dropped events: everything appended was fed (12 seeded + all
 	// appended lines), and the queue never shed.
-	waitEvents(t, d, 12+eventLines)
-	if drops := p.queue.Drops(); drops != 0 {
+	waitEvents(t, h, 12+eventLines)
+	if _, _, drops := s0.QueueStats(); drops != 0 {
 		t.Errorf("queue dropped %d events during resizes", drops)
 	}
 	// Rejected reloads are handled data, not failures: nothing restarted.
-	if got := p.sup.Restarts(); got != 0 {
+	if got := restarts(h); got != 0 {
 		t.Errorf("stage restarts = %d, want 0", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/replic"
 )
 
@@ -21,12 +20,11 @@ func TestPipelineServesRumorEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-		rumor:      true,
-	})
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.Rumor = true
+	p := newTestHost(t, hostConfig{rt: rt})
+	runTestHost(t, p)
 
 	rr := replic.NewRemoteRumor("http://"+p.addr()+"/rumor", nil)
 	if p.master.Create(7) != 1 {
@@ -68,11 +66,10 @@ func TestPipelineRumorDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-	})
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	p := newTestHost(t, hostConfig{rt: rt})
+	runTestHost(t, p)
 	resp, err := http.Post("http://"+p.addr()+"/rumor/version", "application/x-seer-rumor", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,5 +77,34 @@ func TestPipelineRumorDisabledByDefault(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/rumor/version without -rumor = %d, want 404", resp.StatusCode)
+	}
+}
+
+// -rumor is served under -shards N too: the master mounts once, in the
+// process layer every shard count shares.
+func TestShardedServesRumorEndpoints(t *testing.T) {
+	rt := testRuntime("-")
+	rt.Daemon.Shards = 2
+	rt.Daemon.ShardDir = t.TempDir()
+	rt.Daemon.Rumor = true
+	if err := rt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHost(t, hostConfig{rt: rt})
+	runTestHost(t, h)
+	if h.master.Create(7) != 1 {
+		t.Fatal("master create")
+	}
+	rr := replic.NewRemoteRumor("http://"+h.addr()+"/rumor", nil)
+	if err := rr.Fetch(7); err != nil {
+		t.Fatalf("fetch through a 2-shard seerd: %v", err)
+	}
+	resp, err := http.Post("http://"+h.addr()+"/rumor/version", "application/x-seer-rumor", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		t.Errorf("/rumor/version with -shards 2 -rumor = 404, want the master to answer")
 	}
 }

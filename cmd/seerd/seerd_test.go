@@ -5,12 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
-	"github.com/fmg/seer/internal/trace"
 )
 
 // testSupervisorConfig is a backoff policy tight enough for tests.
@@ -19,6 +22,103 @@ func testSupervisorConfig() supervise.Config {
 		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
 		BreakAfter: 50,
 		Window:     time.Minute,
+	}
+}
+
+// testRuntime is a plain (one-shard) seerd runtime reading stracePath
+// and listening on a loopback port.
+func testRuntime(stracePath string) config.Runtime {
+	rt := config.DefaultRuntime()
+	rt.Daemon.Strace = stracePath
+	rt.Daemon.Listen = "127.0.0.1:0"
+	return rt
+}
+
+// newTestHost opens a host for hc (base defaults to rt, the supervisor
+// to testSupervisorConfig) without starting its process stages.
+func newTestHost(t *testing.T, hc hostConfig) *host {
+	t.Helper()
+	if hc.supervisor.Window == 0 {
+		hc.supervisor = testSupervisorConfig()
+	}
+	if hc.base.Daemon.LogLevel == "" {
+		hc.base = hc.rt
+	}
+	return newHost(context.Background(), hc)
+}
+
+// runTestHost starts h's process stages and waits for its main
+// listener. The returned stop (also run at cleanup; idempotent) ends
+// the stages and drains the shards to their final checkpoints. Tests
+// that restore package globals must defer stop so it runs first.
+func runTestHost(t *testing.T, h *host) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	h.sup.Start(ctx)
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			cancel()
+			done := make(chan struct{})
+			go func() { h.sup.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Error("host stages did not stop within 10s")
+			}
+			if err := h.mgr.Close(); err != nil {
+				t.Errorf("closing shards: %v", err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	deadline := time.Now().Add(5 * time.Second)
+	for h.addr() == "" && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if h.addr() == "" {
+		t.Fatal("host listener never came up")
+	}
+	return stop
+}
+
+// slot0 returns the one shard of a plain seerd.
+func (h *host) slot0() *shard.Shard { return h.mgr.Shard(0) }
+
+// waitEvents polls until slot 0 has fed at least n events.
+func waitEvents(t *testing.T, h *host, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if h.slot0().Events() >= n {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("slot 0 never reached %d events (at %d)", n, h.slot0().Events())
+}
+
+// seedLines is a small strace history: six open/close pairs over two
+// files.
+const seedLines = `9  10:00:00.000001 openat(AT_FDCWD, "/home/u/a.c", O_RDONLY) = 3
+9  10:00:00.000002 close(3) = 0
+9  10:00:00.000003 openat(AT_FDCWD, "/home/u/b.h", O_RDONLY) = 3
+9  10:00:00.000004 close(3) = 0
+9  10:00:00.000005 openat(AT_FDCWD, "/home/u/a.c", O_RDONLY) = 3
+9  10:00:00.000006 close(3) = 0
+9  10:00:00.000007 openat(AT_FDCWD, "/home/u/b.h", O_RDONLY) = 3
+9  10:00:00.000008 close(3) = 0
+9  10:00:00.000009 openat(AT_FDCWD, "/home/u/a.c", O_RDONLY) = 3
+9  10:00:00.000010 close(3) = 0
+9  10:00:00.000011 openat(AT_FDCWD, "/home/u/b.h", O_RDONLY) = 3
+9  10:00:00.000012 close(3) = 0
+`
+
+// seed bootstraps h's slot 0 from seedLines (12 events).
+func seed(t *testing.T, h *host) {
+	t.Helper()
+	if n, err := h.bootstrap(context.Background(), strings.NewReader(seedLines)); err != nil || n != 12 {
+		t.Fatalf("bootstrap: %d events, err %v", n, err)
 	}
 }
 
@@ -70,46 +170,36 @@ func TestFeedLinesSkipsOversizedTail(t *testing.T) {
 	}
 }
 
-// seededCorrelator returns a correlator with a few learned events.
-func seededCorrelator(opts core.Options) *core.Correlator {
-	c := core.New(opts)
-	clk := trace.NewClock(time.Unix(1_000_000, 0))
-	for i := 0; i < 6; i++ {
-		path := "/home/u/a.c"
-		if i%2 == 1 {
-			path = "/home/u/b.h"
-		}
-		c.Feed(clk.Stamp(trace.Event{PID: 9, Op: trace.OpOpen, Path: path, Uid: 1000}))
-		c.Feed(clk.Stamp(trace.Event{PID: 9, Op: trace.OpClose, Path: path, Uid: 1000}))
-	}
-	return c
-}
-
+// The -db file is slot 0's snapshot: every close checkpoints it with
+// the previous one rotated to .bak, and a restart climbs the recovery
+// ladder — intact primary, then the backup, then a fresh database.
 func TestSnapshotRotationAndRecoveryLadder(t *testing.T) {
 	dir := t.TempDir()
 	db := filepath.Join(dir, "seer.db")
-	opts := core.Options{Seed: 1}
-	c := seededCorrelator(opts)
+	rt := testRuntime("-")
+	rt.Daemon.DB = db
+	open := func() *host { return newTestHost(t, hostConfig{rt: rt}) }
 
 	// First checkpoint: primary only.
-	if err := writeSnapshot(c, db); err != nil {
+	h := open()
+	seed(t, h)
+	want := h.slot0().Events()
+	if err := h.mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(db + bakSuffix); !os.IsNotExist(err) {
+	if _, err := os.Stat(db + ".bak"); !os.IsNotExist(err) {
 		t.Fatal("backup exists after first checkpoint")
 	}
 	// Second checkpoint rotates the first to .bak.
-	if err := writeSnapshot(c, db); err != nil {
+	h = open()
+	if got := h.slot0().Events(); got != want {
+		t.Fatalf("restored %d events, want %d", got, want)
+	}
+	if err := h.mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(db + bakSuffix); err != nil {
+	if _, err := os.Stat(db + ".bak"); err != nil {
 		t.Fatal("no backup after second checkpoint")
-	}
-
-	// Intact primary restores.
-	r := restoreDB(db, opts)
-	if r.Events() != c.Events() {
-		t.Fatalf("restored %d events, want %d", r.Events(), c.Events())
 	}
 
 	// Corrupt primary: the ladder falls back to the backup.
@@ -122,97 +212,60 @@ func TestSnapshotRotationAndRecoveryLadder(t *testing.T) {
 	if err := os.WriteFile(db, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r = restoreDB(db, opts)
-	if r.Events() != c.Events() {
-		t.Fatalf("backup recovery lost events: %d, want %d", r.Events(), c.Events())
+	restored := func() uint64 {
+		h := open()
+		defer h.mgr.Close()
+		return h.slot0().Events()
+	}
+	if got := restored(); got != want {
+		t.Fatalf("backup recovery lost events: %d, want %d", got, want)
 	}
 
 	// Corrupt both: a fresh database, not a crash.
-	if err := os.WriteFile(db+bakSuffix, corrupt[:len(corrupt)/3], 0o644); err != nil {
+	if err := os.WriteFile(db, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r = restoreDB(db, opts)
-	if r == nil {
-		t.Fatal("no correlator from double corruption")
+	if err := os.WriteFile(db+".bak", corrupt[:len(corrupt)/3], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if r.Events() != 0 {
-		t.Fatalf("fresh database has %d events", r.Events())
-	}
-
-	// Missing files entirely: also fresh.
-	r = restoreDB(filepath.Join(dir, "nonexistent.db"), opts)
-	if r == nil || r.Events() != 0 {
-		t.Fatal("missing database did not yield a fresh start")
+	if got := restored(); got != 0 {
+		t.Fatalf("fresh database has %d events", got)
 	}
 }
 
+// A plain seerd's final checkpoint round-trips through its -db file,
+// leaving no temp file behind, and the golden trace's recorded
+// database restores through -db the same way.
 func TestSaveDBThenRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db := filepath.Join(dir, "seer.db")
-	opts := core.Options{Seed: 1}
-	d := newDaemon(seededCorrelator(opts), 1<<20)
-	if err := saveDB(d, db); err != nil {
+	rt := testRuntime("-")
+	rt.Daemon.DB = db
+	h := newTestHost(t, hostConfig{rt: rt})
+	seed(t, h)
+	want := h.slot0().Events()
+	if err := h.mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := restoreDB(db, opts)
-	if r.Events() != d.corr.Events() {
-		t.Fatalf("restored %d events, want %d", r.Events(), d.corr.Events())
+	if r := shard.RestoreSnapshot(db, core.Options{Seed: 1}, obs.NewLogger(nil)); r.Events() != want {
+		t.Fatalf("restored %d events, want %d", r.Events(), want)
 	}
-	// No leftover temp file.
 	if _, err := os.Stat(db + ".tmp"); !os.IsNotExist(err) {
 		t.Error("temp file left behind")
 	}
-}
 
-// waitEvents polls until the daemon has seen at least n events.
-func waitEvents(t *testing.T, d *daemon, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		d.lock()
-		got := d.corr.Events()
-		d.unlock()
-		if got >= n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	old, err := os.ReadFile(filepath.Join("testdata", "golden", "seer.db"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("daemon never reached %d events", n)
-}
-
-// startTestPipeline builds and starts a supervised pipeline for tests,
-// returning it with its cancel func. The caller appends to path to
-// feed the tailer.
-func startTestPipeline(t *testing.T, d *daemon, cfg pipelineConfig) (*pipeline, context.CancelFunc) {
-	t.Helper()
-	if cfg.listen == "" {
-		cfg.listen = "127.0.0.1:0"
+	if err := os.WriteFile(db, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.supervisor.Window == 0 {
-		cfg.supervisor = testSupervisorConfig()
+	h = newTestHost(t, hostConfig{rt: rt})
+	defer h.mgr.Close()
+	if got := h.slot0().Events(); got != 27 {
+		t.Fatalf("database from the golden trace restored %d events, want 27", got)
 	}
-	p := newPipeline(d, cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	t.Cleanup(func() {
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not stop within 10s")
-		}
-	})
-	// Wait for the listener so tests can hit HTTP endpoints.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.addr() == "" {
-		t.Fatal("pipeline listener never came up")
-	}
-	return p, cancel
 }
 
 func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
@@ -229,12 +282,10 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, cancel := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-	})
-	_ = p
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	h := newTestHost(t, hostConfig{rt: rt})
+	stop := runTestHost(t, h)
 
 	// Appended lines are consumed.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -246,14 +297,14 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	waitEvents(t, d, 1)
+	waitEvents(t, h, 1)
 
 	// Truncation: the file is rewritten shorter. The tailer must reopen
 	// from the start and consume the fresh contents.
 	if err := os.WriteFile(path, []byte(line2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 2)
+	waitEvents(t, h, 2)
 
 	// Rotation: the file is replaced via rename (new inode).
 	tmp := filepath.Join(dir, "rotated.strace")
@@ -263,14 +314,13 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 3)
+	waitEvents(t, h, 3)
 
-	cancel()
 	done := make(chan struct{})
-	go func() { p.wait(); close(done) }()
+	go func() { stop(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("pipeline did not stop on context cancellation")
+		t.Fatal("host did not stop on context cancellation")
 	}
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,57 +12,57 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/config"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/supervise"
 )
 
-// The SLO acceptance chain, end to end on a real sharded pipeline: an
+// The SLO acceptance chain, end to end on a real sharded host: an
 // upstream failure burns the rumor-sync error budget, the fast-window
 // burn rate crosses the page threshold, the slo health probe degrades
-// the daemon, and the breach hook auto-captures a flight bundle with
-// spans and profiles in it — all without a single sleep-based window
-// (the monitor is ticked directly).
+// the daemon — on both listeners' /healthz — and the breach hook
+// auto-captures a flight bundle with spans and profiles in it, all
+// without a single sleep-based window (the monitor is ticked directly).
 func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	dir := t.TempDir()
 	rt := config.DefaultRuntime()
 	rt.Daemon.Shards = 2
+	rt.Daemon.Listen = "127.0.0.1:0"
 	rt.Daemon.ShardDir = filepath.Join(dir, "shards")
 	// A port nothing listens on: every sync round trip fails fast.
 	rt.Daemon.RumorURL = "http://127.0.0.1:1/rumor"
 	rt.Daemon.FlightDir = filepath.Join(dir, "flight")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sp := newShardPipeline(ctx, rt, rt, "", nil)
-	defer sp.mgr.Close()
-	if sp.flight == nil {
+	h := newTestHost(t, hostConfig{rt: rt})
+	defer h.mgr.Close()
+	if h.flight == nil {
 		t.Fatal("flight recorder not built despite -flight-dir")
 	}
-	sp.flight.CPUProfile = 50 * time.Millisecond // keep the capture fast
+	h.flight.CPUProfile = 50 * time.Millisecond // keep the capture fast
 
 	// Baseline sample, then burn: every sync errors, so 100% of the
 	// rumor-sync events are bad — far over any sane threshold.
-	sp.slo.Tick()
+	h.slo.Tick()
 	for i := 0; i < 5; i++ {
-		if err := sp.rumor.Fetch(simfs.FileID(i + 1)); err == nil {
+		if err := h.rumor.Fetch(simfs.FileID(i + 1)); err == nil {
 			t.Fatal("Fetch against a dead master unexpectedly succeeded")
 		}
 	}
-	sp.slo.Tick()
+	h.slo.Tick()
 
-	br := sp.slo.Breached()
+	br := h.slo.Breached()
 	if len(br) != 1 || br[0] != "rumor-sync" {
 		t.Fatalf("Breached() = %v, want [rumor-sync]", br)
 	}
-	fast, _ := sp.slo.Windows()
-	if burn := sp.slo.Burn("rumor-sync", fast); burn < sp.slo.Threshold() {
+	fast, _ := h.slo.Windows()
+	if burn := h.slo.Burn("rumor-sync", fast); burn < h.slo.Threshold() {
 		t.Fatalf("fast burn %.1f under threshold %.1f after total failure",
-			burn, sp.slo.Threshold())
+			burn, h.slo.Threshold())
 	}
 
 	// The burn is a live series on the pipeline's registry.
 	var buf bytes.Buffer
-	if err := sp.reg.WritePrometheus(&buf); err != nil {
+	if err := h.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `seer_slo_burn_rate{slo="rumor-sync",window="fast"}`) {
@@ -69,23 +71,31 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 
 	// The slo probe flips aggregate health to degraded, naming the
 	// objective in the health document.
-	if h := sp.sup.Health(); h != supervise.Degraded {
+	if h := h.sup.Health(); h != supervise.Degraded {
 		t.Fatalf("health = %v after breach, want degraded", h)
 	}
 	found := false
-	for _, p := range sp.sup.Report().Probes {
+	for _, p := range h.sup.Report().Probes {
 		if p.Name == "slo" && strings.Contains(p.Detail, "rumor-sync") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no slo probe naming rumor-sync in %+v", sp.sup.Report().Probes)
+		t.Fatalf("no slo probe naming rumor-sync in %+v", h.sup.Report().Probes)
+	}
+	for name, mux := range map[string]*http.ServeMux{"main": h.mainMux(), "debug": h.debugMux()} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+		var rep supervise.Report
+		if err := json.Unmarshal(rr.Body.Bytes(), &rep); err != nil || rep.State != "degraded" {
+			t.Fatalf("%s listener /healthz = %q (err %v), want degraded:\n%s", name, rep.State, err, rr.Body)
+		}
 	}
 
 	// The breach auto-captured a flight bundle: reason names the SLO,
 	// and the bundle carries spans, metrics, config, shard states, the
 	// goroutine dump, and the CPU profile.
-	bundle := sp.flight.Last()
+	bundle := h.flight.Last()
 	if bundle == "" {
 		t.Fatal("no flight bundle captured on breach")
 	}
@@ -110,7 +120,38 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	}
 
 	// A second breach inside the debounce window must not capture again.
-	if dir, err := sp.flight.TryCapture("again"); err != nil || dir != "" {
+	if dir, err := h.flight.TryCapture("again"); err != nil || dir != "" {
 		t.Fatalf("TryCapture inside MinInterval = (%q, %v), want debounced no-op", dir, err)
+	}
+}
+
+// A plan served from the stale cache is a bad event for the plan and
+// hoard objectives even though the client got a 200: the fresh path
+// missed its deadline.
+func TestStaleServesBurnPlanBudget(t *testing.T) {
+	rt := testRuntime("-")
+	h := newTestHost(t, hostConfig{rt: rt})
+	defer h.mgr.Close()
+	seed(t, h)
+	mux := h.mainMux()
+	get := func(path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr
+	}
+	if rr := get("/plan"); rr.Code != http.StatusOK {
+		t.Fatalf("priming /plan: %d", rr.Code)
+	}
+	h.slo.Tick()
+	release := h.slot0().Hold()
+	for i := 0; i < 5; i++ {
+		if rr := get("/plan?timeout_ms=20"); rr.Code != http.StatusOK || rr.Header().Get(shard.StaleHeader) != "true" {
+			t.Fatalf("wedged /plan: %d stale=%q", rr.Code, rr.Header().Get(shard.StaleHeader))
+		}
+	}
+	release()
+	h.slo.Tick()
+	if br := h.slo.Breached(); len(br) == 0 || br[0] != "plan" {
+		t.Fatalf("Breached() = %v after stale serves, want plan first", br)
 	}
 }

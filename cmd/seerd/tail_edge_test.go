@@ -10,6 +10,8 @@ import (
 
 	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/fault"
+	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
 )
 
@@ -30,53 +32,19 @@ func TestFollowFailureMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.DB = db
+	h := newTestHost(t, hostConfig{rt: rt, checkpointEvery: 15 * time.Millisecond})
 	var sink fault.Sink
-	cfg := pipelineConfig{
-		stracePath:      path,
-		follow:          true,
-		dbPath:          db,
-		listen:          "127.0.0.1:0",
-		checkpointEvery: 15 * time.Millisecond,
-		supervisor:      testSupervisorConfig(),
-	}
-	p := newPipeline(d, cfg)
-	origSave := p.save
-	p.save = func() error { return sink.Do(origSave) }
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("pipeline did not stop")
-		}
-	}
+	h.slot0().SetSaveWrapper(sink.Do)
+	stop := runTestHost(t, h)
 	defer stop()
-	// Wait for the listener so health is inspectable over the stage tree.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	events := func() uint64 {
-		d.lock()
-		defer d.unlock()
-		return d.corr.Events()
-	}
 
 	// Healthy append baseline.
 	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	appendLine(t, path, chaosLine(0))
-	waitEvents(t, d, 1)
+	waitEvents(t, h, 1)
 
 	// Case 1: truncation while checkpoints fail. The tailer reopens from
 	// the start; the broken sink degrades health but stops nothing.
@@ -84,13 +52,13 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(chaosLine(1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 2)
+	waitEvents(t, h, 2)
 	waitFor(t, "degraded during sink break (truncation)", func() bool {
-		return p.sup.Health() == supervise.Degraded
+		return h.sup.Health() == supervise.Degraded
 	})
 	sink.Heal()
 	waitFor(t, "healthy after heal (truncation)", func() bool {
-		return p.sup.Health() == supervise.Healthy
+		return h.sup.Health() == supervise.Healthy
 	})
 
 	// Case 2: rotation while checkpoints fail.
@@ -102,13 +70,13 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 3)
+	waitEvents(t, h, 3)
 	waitFor(t, "degraded during sink break (rotation)", func() bool {
-		return p.sup.Health() == supervise.Degraded
+		return h.sup.Health() == supervise.Degraded
 	})
 	sink.Heal()
 	waitFor(t, "healthy after heal (rotation)", func() bool {
-		return p.sup.Health() == supervise.Healthy
+		return h.sup.Health() == supervise.Healthy
 	})
 
 	// Case 3: rotation immediately followed by truncation, sink healthy —
@@ -120,7 +88,7 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.Rename(tmp2, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 4)
+	waitEvents(t, h, 4)
 	// The truncated replacement must be strictly shorter than what the
 	// tailer already consumed, or the size check cannot see it shrink.
 	short := `100  12:00:09.000009 openat(AT_FDCWD, "/h/x.c", O_RDONLY) = 3` + "\n"
@@ -130,14 +98,11 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 5)
+	waitEvents(t, h, 5)
 
-	total := events()
-	stop()
-	if err := saveDB(d, db); err != nil {
-		t.Fatalf("final save: %v", err)
-	}
-	r := restoreDB(db, core.Options{Seed: 1})
+	total := h.slot0().Events()
+	stop() // the final checkpoint
+	r := shard.RestoreSnapshot(db, core.Options{Seed: 1}, obs.NewLogger(nil))
 	if r.Events() != total {
 		t.Fatalf("restored %d events after failure matrix, want %d", r.Events(), total)
 	}

@@ -26,20 +26,23 @@ type Runtime struct {
 // Structural fields (listen addresses, input bindings) are fixed at
 // startup; the rest can change on a live reload.
 type Daemon struct {
-	// Strace is the trace input path ("-" = stdin). Structural.
+	// Strace is the trace input path ("-" = stdin) of a one-shard
+	// deployment (Shards 0). Structural.
 	Strace string `json:"strace,omitempty"`
 	// Listen is the main HTTP listen address. Structural.
 	Listen string `json:"listen,omitempty"`
-	// DebugAddr is the optional pprof/expvar listener. Structural.
+	// DebugAddr is the optional pprof and debug listener. Structural.
 	DebugAddr string `json:"debug_addr,omitempty"`
-	// DB is the snapshot path (seerd only). Structural.
+	// DB is the one shard's snapshot path (seerd, Shards 0 only).
+	// Structural.
 	DB string `json:"db,omitempty"`
-	// Follow keeps tailing the strace file. Structural.
+	// Follow keeps tailing the strace file (Shards 0 only). Structural.
 	Follow bool `json:"follow,omitempty"`
 	// Rumor mounts the replication master under /rumor/. Structural.
 	Rumor bool `json:"rumor,omitempty"`
-	// Shards enables multi-tenant mode with this many user shards
-	// behind the gateway (0 = classic single-tenant). Structural.
+	// Shards is how many user shards the gateway hosts, fed through
+	// POST /events; 0 is the one-shard deployment fed by the local
+	// Strace input. Structural.
 	Shards int `json:"shards,omitempty"`
 	// ShardDir is the directory holding per-shard snapshots
 	// (shard-NNN.db); "" disables shard checkpointing. Structural.
@@ -94,11 +97,9 @@ type Daemon struct {
 // what the shed response advertises. Zero values disable a limit. All
 // fields are hot-reloadable.
 type Admission struct {
-	// PlanMaxInFlight bounds concurrent /plan + /hoard + /clusters
-	// requests (the clustering-heavy read path).
+	// PlanMaxInFlight bounds the concurrent requests each shard serves
+	// (every routed endpoint; the clustering-heavy plan reads dominate).
 	PlanMaxInFlight int `json:"plan_max_inflight"`
-	// MissMaxInFlight bounds concurrent /miss + /stats requests.
-	MissMaxInFlight int `json:"miss_max_inflight"`
 	// RumorMaxInFlight bounds concurrent /rumor/ requests.
 	RumorMaxInFlight int `json:"rumor_max_inflight"`
 	// MaxQueuePct sheds plan-path requests while the ingestion queue is
@@ -135,7 +136,6 @@ func DefaultRuntime() Runtime {
 		},
 		Admit: Admission{
 			PlanMaxInFlight:  16,
-			MissMaxInFlight:  64,
 			RumorMaxInFlight: 256,
 			// MaxQueuePct and MaxLatencyMS default off: a degraded feeder
 			// already sheds ingestion via the bounded queue, and turning
@@ -164,6 +164,13 @@ func (r Runtime) Validate() error {
 		return fmt.Errorf("config: negative shard count %d", d.Shards)
 	case d.Shards > 1024:
 		return fmt.Errorf("config: shard count %d > 1024", d.Shards)
+	case d.Shards > 0 && d.Listen == "":
+		return fmt.Errorf("config: shards %d requires listen", d.Shards)
+	case d.Shards > 0 && (d.DB != "" || d.Follow || d.Strace != "-"):
+		// Shards take their events per user through POST /events and
+		// keep their snapshots under shard-dir; the local-input knobs
+		// belong to the one-shard deployment.
+		return fmt.Errorf("config: db, follow and strace apply only with shards 0 (use shard-dir and POST /events)")
 	case d.GatewayRetries < 0:
 		return fmt.Errorf("config: negative gateway retries %d", d.GatewayRetries)
 	case d.GatewayRetryBaseMS < 0:
@@ -194,7 +201,7 @@ func (r Runtime) Validate() error {
 	}
 	a := r.Admit
 	switch {
-	case a.PlanMaxInFlight < 0 || a.MissMaxInFlight < 0 || a.RumorMaxInFlight < 0:
+	case a.PlanMaxInFlight < 0 || a.RumorMaxInFlight < 0:
 		return fmt.Errorf("config: negative admission in-flight limit")
 	case a.MaxQueuePct < 0 || a.MaxQueuePct > 100:
 		return fmt.Errorf("config: max-queue-pct %d outside [0,100]", a.MaxQueuePct)
@@ -319,7 +326,7 @@ func buildKnobs() []Knob {
 	var get func(*Runtime) string
 
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Strace })
-	add(spec{name: "strace", usage: "strace output file (- = stdin)",
+	add(spec{name: "strace", usage: "strace output file (- = stdin) fed to the one shard (-shards 0)",
 		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Listen })
 	add(spec{name: "listen", usage: "HTTP listen address",
@@ -328,7 +335,7 @@ func buildKnobs() []Knob {
 	add(spec{name: "debug-addr", usage: "optional listen address for pprof and debug endpoints",
 		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DB })
-	add(spec{name: "db", usage: "database file: restored at start, saved after input",
+	add(spec{name: "db", usage: "the one shard's database file (-shards 0): restored at start, checkpointed while serving and at exit",
 		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Follow })
 	add(spec{name: "follow", usage: "keep tailing the strace file for appended lines (requires -listen)",
@@ -337,7 +344,7 @@ func buildKnobs() []Knob {
 	add(spec{name: "rumor", usage: "serve the CheapRumor replication-master endpoints under /rumor/ (requires -listen)",
 		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.Shards })
-	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway (0 = single-tenant; requires -listen)",
+	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway, fed by POST /events (requires -listen; 0 = one shard fed by -strace)",
 		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.ShardDir })
 	add(spec{name: "shard-dir", usage: "directory for per-shard snapshot files (empty = no shard checkpoints)",
@@ -396,10 +403,7 @@ func buildKnobs() []Knob {
 		daemons: ForSeerd, set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.PlanMaxInFlight })
-	add(spec{name: "admit-plan-inflight", usage: "max concurrent /plan,/hoard,/clusters requests (0 = unlimited)",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MissMaxInFlight })
-	add(spec{name: "admit-miss-inflight", usage: "max concurrent /miss,/stats requests (0 = unlimited)",
+	add(spec{name: "admit-plan-inflight", usage: "max concurrent requests per shard (0 = unlimited)",
 		daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RumorMaxInFlight })
 	add(spec{name: "admit-rumor-inflight", usage: "max concurrent /rumor/ requests (0 = unlimited)",

@@ -12,6 +12,11 @@ func TestDefaultRuntimeValidates(t *testing.T) {
 	if err := DefaultRuntime().Validate(); err != nil {
 		t.Fatalf("DefaultRuntime does not validate: %v", err)
 	}
+	r := DefaultRuntime()
+	r.Daemon.Shards, r.Daemon.Listen, r.Daemon.ShardDir, r.Daemon.Rumor = 4, ":0", "shards", true
+	if err := r.Validate(); err != nil {
+		t.Fatalf("sharded runtime does not validate: %v", err)
+	}
 }
 
 func TestRuntimeValidateRejects(t *testing.T) {
@@ -28,6 +33,12 @@ func TestRuntimeValidateRejects(t *testing.T) {
 		{"queue pct > 100", func(r *Runtime) { r.Admit.MaxQueuePct = 101 }},
 		{"negative retry", func(r *Runtime) { r.Admit.RetryAfterSec = -1 }},
 		{"bad params", func(r *Runtime) { r.Params.KNear = 1; r.Params.KFar = 2 }},
+		// Shards take events per user over POST /events: the one-shard
+		// deployment's local-input knobs must be refused, not dropped.
+		{"shards without listen", func(r *Runtime) { r.Daemon.Shards = 2 }},
+		{"shards with db", func(r *Runtime) { r.Daemon.Shards = 2; r.Daemon.Listen = ":0"; r.Daemon.DB = "seer.db" }},
+		{"shards with follow", func(r *Runtime) { r.Daemon.Shards = 2; r.Daemon.Listen = ":0"; r.Daemon.Follow = true }},
+		{"shards with strace file", func(r *Runtime) { r.Daemon.Shards = 1; r.Daemon.Listen = ":0"; r.Daemon.Strace = "t.strace" }},
 	}
 	for _, tc := range cases {
 		r := DefaultRuntime()
@@ -66,8 +77,8 @@ param SkipUnfittingClusters false
 		t.Errorf("params not applied: KNear=%d Skip=%v", r.Params.KNear, r.Params.SkipUnfittingClusters)
 	}
 	// Untouched keys keep their base values.
-	if r.Admit.MissMaxInFlight != DefaultRuntime().Admit.MissMaxInFlight {
-		t.Errorf("untouched key changed: %d", r.Admit.MissMaxInFlight)
+	if r.Admit.RumorMaxInFlight != DefaultRuntime().Admit.RumorMaxInFlight {
+		t.Errorf("untouched key changed: %d", r.Admit.RumorMaxInFlight)
 	}
 }
 

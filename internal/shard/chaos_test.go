@@ -667,14 +667,84 @@ func TestGatewayInputDiscipline(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("drain of unknown shard: HTTP %d, want 409", resp.StatusCode)
 	}
+}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+// newOneSlotGateway opens a one-slot manager (a plain seerd) with the
+// given queue shape and serves its gateway.
+func newOneSlotGateway(t *testing.T, queueCap, queueBlockMS int) (*Manager, *httptest.Server) {
+	t.Helper()
+	rt := chaosRuntime()
+	rt.Daemon.QueueCap = queueCap
+	rt.Daemon.QueueBlockMS = queueBlockMS
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	mgr := NewManager(ctx, ManagerConfig{
+		Shards: 1, Runtime: rt, Seed: 1,
+		Supervisor: fastSupervisor(), CheckpointEvery: time.Hour,
+	})
+	ts := httptest.NewServer(NewGateway(mgr, Policy{}).Handler())
+	t.Cleanup(ts.Close)
+	return mgr, ts
+}
+
+// With one slot every request lands there, so ?user= is optional: a
+// user-less ingest and read reach slot 0 like any named user's.
+func TestOneSlotGatewayRoutesEveryUserToSlotZero(t *testing.T) {
+	mgr, ts := newOneSlotGateway(t, 512, 10)
+	defer mgr.Close()
+
+	resp, err := http.Post(ts.URL+"/events", contentText,
+		strings.NewReader(strings.Join(testLines(0, 10), "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"state"`) {
-		t.Errorf("healthz: HTTP %d body %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || string(body) != "ingested 10 events\n" {
+		t.Fatalf("user-less POST /events: HTTP %d %q", resp.StatusCode, body)
+	}
+	if code, _ := postEvents(t, ts.URL, "alice", testLines(10, 5)); code != http.StatusOK {
+		t.Fatalf("POST /events?user=alice: HTTP %d", code)
+	}
+	s0 := mgr.Shard(0)
+	waitFor(t, "both batches fed to slot 0", func() bool { return s0.Events() == 15 })
+	for _, q := range []string{"", "?user=bob"} {
+		resp, err := http.Get(ts.URL + "/plan" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /plan%s: HTTP %d, want 200", q, resp.StatusCode)
+		}
+	}
+}
+
+// A POST /events batch cut short by its deadline (the queue stays full
+// behind a wedged correlator) must not answer 200: it answers 504 and
+// says how many events went in.
+func TestEventsPartialIngestIsNotOK(t *testing.T) {
+	mgr, ts := newOneSlotGateway(t, 4, 1000)
+	defer mgr.Close()
+	s0 := mgr.Shard(0)
+	release := s0.Hold()
+	defer release()
+
+	resp, err := http.Post(ts.URL+"/events?timeout_ms=200", contentText,
+		strings.NewReader(strings.Join(testLines(0, 20), "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("partial ingest: HTTP %d %q, want 504", resp.StatusCode, body)
+	}
+	var n, parsed int
+	if _, err := fmt.Sscanf(string(body), "ingested %d of %d events", &n, &parsed); err != nil {
+		t.Fatalf("partial ingest body %q does not report the count: %v", body, err)
+	}
+	if parsed != 20 || n >= parsed || n == 0 {
+		t.Errorf("partial ingest reported %d of %d, want a short nonzero count of 20", n, parsed)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,15 +16,13 @@ import (
 	"github.com/fmg/seer/internal/hoard"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/stats"
-	"github.com/fmg/seer/internal/supervise"
 )
 
 // contentText is the Content-Type of every text endpoint.
 const contentText = "text/plain; charset=utf-8"
 
 // StaleHeader marks a response served from a shard's last-good plan
-// cache rather than a fresh clustering (same header the single-tenant
-// daemon uses).
+// cache rather than a fresh clustering.
 const StaleHeader = "X-Seer-Stale"
 
 // maxIngestBody bounds one POST /events body: big enough for a day of
@@ -164,8 +163,10 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// Handler returns the gateway mux: the single-tenant endpoints, each
-// taking ?user= for routing, plus the /shards operations surface.
+// Handler returns the gateway mux: the decision endpoints, each taking
+// ?user= for routing (optional with one slot, where every user lives),
+// plus the /shards operations surface. Health is the process's to
+// report, so /healthz and /readyz are mounted beside it, not here.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", g.handlePlan)
@@ -176,8 +177,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/events", g.handleEvents)
 	mux.HandleFunc("/shards", g.handleShards)
 	mux.HandleFunc("/shards/drain", g.handleDrain)
-	mux.HandleFunc("/healthz", g.healthHandler(false))
-	mux.HandleFunc("/readyz", g.healthHandler(true))
 	return mux
 }
 
@@ -284,7 +283,7 @@ func (g *Gateway) route(ctx context.Context, endpoint, user string, op shardOp) 
 		}
 		sp.Attr("outcome", "error")
 		out = outcome{status: http.StatusServiceUnavailable, err: oerr.Error()}
-		if ctx.Err() != nil {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			out.status = http.StatusGatewayTimeout
 		}
 		return nil
@@ -324,8 +323,14 @@ func (g *Gateway) write(w http.ResponseWriter, out outcome) {
 	w.Write(out.body)
 }
 
-// user extracts the routing key; "" means the caller forgot it.
-func user(req *http.Request) string { return req.URL.Query().Get("user") }
+// user extracts the routing key. It reports false when the caller
+// left it out of a request that needs it: with one slot every user
+// (and the anonymous one) lives in slot 0, so only a multi-slot
+// gateway insists.
+func (g *Gateway) user(req *http.Request) (string, bool) {
+	u := req.URL.Query().Get("user")
+	return u, u != "" || g.mgr.Len() == 1
+}
 
 // TraceHeader echoes the request's trace id back to the client, so
 // `curl -i` hands the operator the id to feed `seerctl trace`.
@@ -362,8 +367,8 @@ func (g *Gateway) traced(ctx context.Context, req *http.Request, endpoint, user 
 // route under the root span, render.
 func (g *Gateway) serve(w http.ResponseWriter, req *http.Request, endpoint string, op shardOp) {
 	w.Header().Set("Content-Type", contentText)
-	u := user(req)
-	if u == "" {
+	u, ok := g.user(req)
+	if !ok {
 		http.Error(w, "missing user parameter", http.StatusBadRequest)
 		return
 	}
@@ -399,8 +404,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleMiss records a hoard miss on the user's shard: POST
-// /miss?user=alice&path=/home/alice/file.c (method discipline matches
-// the single-tenant daemon).
+// /miss?user=alice&path=/home/alice/file.c; other methods get 405 with
+// Allow.
 func (g *Gateway) handleMiss(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", contentText)
 	if req.Method != http.MethodPost {
@@ -430,7 +435,10 @@ func (g *Gateway) handleMiss(w http.ResponseWriter, req *http.Request) {
 // handleEvents ingests strace lines for one user: POST
 // /events?user=alice with the raw lines as the body. The write is
 // routed with the full retry discipline, so a drain in progress on the
-// user's slot delays the ingest by a backoff instead of losing it.
+// user's slot delays the ingest by a backoff instead of losing it. A
+// batch cut short because the request context ended (a full queue
+// outlasting ?timeout_ms) answers 504, or 503 on cancellation, with the
+// count that did go in, never a 200 a client could take for success.
 func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", contentText)
 	if req.Method != http.MethodPost {
@@ -438,8 +446,8 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed; use POST", http.StatusMethodNotAllowed)
 		return
 	}
-	u := user(req)
-	if u == "" {
+	u, ok := g.user(req)
+	if !ok {
 		http.Error(w, "missing user parameter", http.StatusBadRequest)
 		return
 	}
@@ -458,9 +466,13 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := g.boundCtx(req)
 	defer cancel()
 	out := g.traced(ctx, req, "events", u, func(ctx context.Context, s *Shard) ([]byte, bool, error) {
-		n, err := s.IngestLines(ctx, lines)
+		n, parsed, err := s.ingestLines(ctx, lines)
 		if err != nil {
 			return nil, false, err
+		}
+		if n < parsed {
+			return nil, false, fmt.Errorf("ingested %d of %d events before the request ended: %w",
+				n, parsed, ctx.Err())
 		}
 		return fmt.Appendf(nil, "ingested %d events\n", n), false, nil
 	})
@@ -500,24 +512,4 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, req *http.Request) {
 	}
 	fmt.Fprintf(w, "shard %d drained and replaced; replacement replayed %d events\n",
 		idx, g.mgr.Shard(idx).Events())
-}
-
-// healthHandler serves the aggregated multi-shard health: the process
-// verdict plus every shard's own state, so an operator sees which
-// bulkhead is hurting. ready additionally requires Healthy (readiness
-// gates rollouts harder than liveness).
-func (g *Gateway) healthHandler(ready bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		h := g.mgr.Health()
-		w.Header().Set("Content-Type", "application/json")
-		code := http.StatusOK
-		if h == supervise.Unavailable || (ready && h != supervise.Healthy) {
-			code = http.StatusServiceUnavailable
-		}
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(struct {
-			State  string `json:"state"`
-			Shards []Info `json:"shards"`
-		}{h.String(), g.mgr.Report()})
-	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -21,6 +22,9 @@ type ManagerConfig struct {
 	Shards int
 	// Dir holds every shard's snapshot ("" disables checkpointing).
 	Dir string
+	// DB, when set, is slot 0's snapshot file in place of its name
+	// under Dir: a one-shard seerd keeps its -db database there.
+	DB string
 	// Runtime supplies the per-shard tunables (queue, budget, params,
 	// admission); the manager derives each shard's Config from it.
 	Runtime config.Runtime
@@ -57,9 +61,11 @@ type Manager struct {
 
 	mu    sync.RWMutex
 	slots []*Shard
-	// retired accumulates restart counts from each slot's retired
-	// shards so seer_shard_restarts_total survives a drain/replace.
-	retired []uint64
+	// retired and retiredShed accumulate restart and queue-shed counts
+	// from each slot's retired shards, so seer_shard_restarts_total and
+	// seer_queue_shed_total survive a drain/replace.
+	retired     []uint64
+	retiredShed []uint64
 	// replaced counts completed drain/replace cycles per slot.
 	replaced []uint64
 	// draining marks slots with a drain in flight (refuses a second).
@@ -87,15 +93,16 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 	}
 	mctx, cancel := context.WithCancel(ctx)
 	m := &Manager{
-		cfg:      cfg,
-		ring:     NewRing(cfg.Shards, cfg.Vnodes),
-		log:      cfg.Logger.With("component", "shardmgr"),
-		ctx:      mctx,
-		cancel:   cancel,
-		slots:    make([]*Shard, cfg.Shards),
-		retired:  make([]uint64, cfg.Shards),
-		replaced: make([]uint64, cfg.Shards),
-		draining: make([]bool, cfg.Shards),
+		cfg:         cfg,
+		ring:        NewRing(cfg.Shards, cfg.Vnodes),
+		log:         cfg.Logger.With("component", "shardmgr"),
+		ctx:         mctx,
+		cancel:      cancel,
+		slots:       make([]*Shard, cfg.Shards),
+		retired:     make([]uint64, cfg.Shards),
+		retiredShed: make([]uint64, cfg.Shards),
+		replaced:    make([]uint64, cfg.Shards),
+		draining:    make([]bool, cfg.Shards),
 	}
 	var wg sync.WaitGroup
 	for i := range m.slots {
@@ -123,6 +130,24 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 			return float64(m.retired[i] + m.slots[i].Restarts())
 		}, strconv.Itoa(i))
 	}
+	// Process-wide ingestion backlog: every slot's queue, summed.
+	queueSum := func(pick func(slot int, s *Shard) uint64) func() float64 {
+		return func() float64 {
+			m.mu.RLock()
+			defer m.mu.RUnlock()
+			var total uint64
+			for i, s := range m.slots {
+				total += pick(i, s)
+			}
+			return float64(total)
+		}
+	}
+	cfg.Metrics.GaugeFunc("seer_queue_depth", "Events waiting in the shard ingestion queues.",
+		queueSum(func(_ int, s *Shard) uint64 { return uint64(s.queue.Len()) }))
+	cfg.Metrics.GaugeFunc("seer_queue_capacity", "Capacity of the shard ingestion queues.",
+		queueSum(func(_ int, s *Shard) uint64 { return uint64(s.queue.Cap()) }))
+	cfg.Metrics.CounterFunc("seer_queue_shed_total", "Events shed by the bounded ingestion queues under overload.",
+		queueSum(func(i int, s *Shard) uint64 { return m.retiredShed[i] + s.queue.Drops() }))
 	m.log.Info("shards open", "count", cfg.Shards, "dir", cfg.Dir)
 	return m
 }
@@ -130,9 +155,14 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 // shardConfig derives slot i's shard Config from the manager's Runtime.
 func (m *Manager) shardConfig(i int) Config {
 	rt := m.cfg.Runtime
+	path := ""
+	if i == 0 {
+		path = m.cfg.DB
+	}
 	return Config{
 		ID:              i,
 		Dir:             m.cfg.Dir,
+		Path:            path,
 		Params:          rt.Params,
 		Seed:            m.cfg.Seed + int64(i),
 		Metrics:         m.cfg.Metrics,
@@ -226,6 +256,7 @@ func (m *Manager) Drain(ctx context.Context, i int) error {
 	repl := Open(m.ctx, m.shardConfig(i))
 	m.mu.Lock()
 	m.retired[i] += old.Restarts()
+	m.retiredShed[i] += old.queue.Drops()
 	m.replaced[i]++
 	m.slots[i] = repl
 	m.mu.Unlock()
@@ -314,19 +345,23 @@ func (m *Manager) Report() []Info {
 }
 
 // Close drains every shard concurrently (process shutdown: each writes
-// its final checkpoint) and releases the manager.
-func (m *Manager) Close() {
+// its final checkpoint) and releases the manager. It returns the
+// shards' drain errors, joined.
+func (m *Manager) Close() error {
 	shards := m.Shards()
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for _, s := range shards {
+	for i, s := range shards {
 		wg.Add(1)
-		go func(s *Shard) {
+		go func(i int, s *Shard) {
 			defer wg.Done()
 			if err := s.Close(); err != nil {
 				m.log.Warn("shard close", "shard", s.ID(), "err", err)
+				errs[i] = err
 			}
-		}(s)
+		}(i, s)
 	}
 	wg.Wait()
 	m.cancel()
+	return errors.Join(errs...)
 }

@@ -21,7 +21,8 @@
 // per-request timeouts, bounded retry with backoff and jitter on
 // transient shard states, and health-aware routing (draining shards
 // serve their stale plan cache; closed slots are rerouted to the
-// replacement).
+// replacement). seerd has no other serving path: a plain seerd is a
+// one-slot Manager whose local strace input feeds slot 0.
 package shard
 
 import (
@@ -119,6 +120,9 @@ type Config struct {
 	ID int
 	// Dir is the snapshot directory; "" disables checkpointing.
 	Dir string
+	// Path, when set, is the snapshot file itself, overriding the
+	// shard-NNN.db name under Dir (a one-shard seerd's -db file).
+	Path string
 	// Params are the correlator tunables for this shard.
 	Params config.Params
 	// Seed drives the correlator's tie-breaking.
@@ -183,6 +187,15 @@ type event struct {
 	parent obs.SpanID
 }
 
+// CheckpointDegradedAfter is how many consecutive checkpoint failures
+// turn a shard's checkpoint probe degraded.
+const CheckpointDegradedAfter = 3
+
+// PlanDegradedAfter is how many consecutive plan or hoard requests
+// answered from the stale cache (the fresh build missed its deadline)
+// turn a shard's plan probe degraded.
+const PlanDegradedAfter = 2
+
 // planCache is the shard's last-good rendered /plan and /hoard bodies.
 type planCache struct {
 	mu    sync.Mutex
@@ -238,15 +251,34 @@ type Shard struct {
 	parserMu sync.Mutex
 	parser   *strace.Parser
 
-	budget    atomic.Int64
+	budget atomic.Int64
+	// params is the correlator's current Params, so a reload that
+	// leaves them unchanged never waits on the correlator lock.
+	params    atomic.Pointer[config.Params]
 	plans     planCache
 	lastTrace atomic.Uint64
 	staleSrv  atomic.Int64
+
+	// planFails counts consecutive stale fallbacks and planOKAt (unix
+	// nano) is the last fresh answer: the plan probe. ckptFailures and
+	// lastCkptOK do the same for the checkpoint probe.
+	planFails    atomic.Int64
+	planOKAt     atomic.Int64
+	ckptFailures atomic.Int64
+	lastCkptOK   atomic.Int64
 
 	// Shared aggregate counters (deduped by name on the registry).
 	mPlans  *obs.Counter
 	mStale  *obs.Counter
 	mMisses *obs.Counter
+
+	// The most recent hoard fill of this shard (paper §5 quantities),
+	// set under the correlator lock by Hoard and read lock-free at
+	// scrape time.
+	mHoardFiles    *obs.Gauge
+	mHoardBytes    *obs.Gauge
+	mMissFreeBytes *obs.Gauge
+	mUnhoardable   *obs.Gauge
 
 	// feedHook, when set, runs before each event is fed — the chaos
 	// tests' panic-injection point (atomic: injected while the feeder
@@ -281,6 +313,7 @@ func Open(ctx context.Context, cfg Config) *Shard {
 		"shard").With(s.name)
 	s.stateG.Set(int64(Opening))
 	s.budget.Store(cfg.BudgetBytes)
+	s.params.Store(&cfg.Params)
 	s.lim = admit.New("shard"+s.name, cfg.Metrics, s.queue.FillPct)
 	s.lim.SetLimits(cfg.Limits)
 	s.mPlans = cfg.Metrics.Counter("seer_plans_built_total",
@@ -289,6 +322,16 @@ func Open(ctx context.Context, cfg Config) *Shard {
 		"Plan/hoard responses served from the last-good cache.")
 	s.mMisses = cfg.Metrics.Counter("seer_hoard_misses_total",
 		"Hoard misses recorded through /miss (paper §4.4).")
+	s.mHoardFiles = cfg.Metrics.GaugeVec("seer_hoard_files",
+		"Files chosen by the shard's most recent hoard fill.", "shard").With(s.name)
+	s.mHoardBytes = cfg.Metrics.GaugeVec("seer_hoard_bytes",
+		"Bytes used by the shard's most recent hoard fill.", "shard").With(s.name)
+	s.mMissFreeBytes = cfg.Metrics.GaugeVec("seer_hoard_missfree_bytes",
+		"Hoard size that would have served every reference the shard observed without a miss (paper §5).",
+		"shard").With(s.name)
+	s.mUnhoardable = cfg.Metrics.GaugeVec("seer_hoard_unhoardable_files",
+		"Referenced files absent from the shard's current plan (would miss at any budget).",
+		"shard").With(s.name)
 
 	opts := core.Options{Params: &cfg.Params, Seed: cfg.Seed, Metrics: cfg.Metrics}
 	s.corr = RestoreSnapshot(s.dbPath(), opts, s.log)
@@ -307,7 +350,15 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	s.sup.Add("feeder", s.feedStage)
 	if s.dbPath() != "" {
 		s.sup.Add("checkpointer", s.checkpointStage)
+		s.sup.AddProbe("checkpoint", func() supervise.Probe {
+			return streakProbe(s.ckptFailures.Load(), CheckpointDegradedAfter,
+				s.lastCkptOK.Load(), "last_success_age", "")
+		})
 	}
+	s.sup.AddProbe("plan", func() supervise.Probe {
+		return streakProbe(s.planFails.Load(), PlanDegradedAfter,
+			s.planOKAt.Load(), "last_fresh_age", fmt.Sprintf(" stale_served=%d", s.staleSrv.Load()))
+	})
 
 	sctx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
@@ -317,8 +368,26 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	return s
 }
 
+// streakProbe reports a consecutive-failure streak: degraded at
+// threshold failures, with the age of the last success (unix nano, 0 =
+// never) under ageKey and any extra detail appended.
+func streakProbe(fails, threshold, okAt int64, ageKey, extra string) supervise.Probe {
+	st := supervise.Healthy
+	if fails >= threshold {
+		st = supervise.Degraded
+	}
+	detail := fmt.Sprintf("consecutive_failures=%d%s", fails, extra)
+	if okAt > 0 {
+		detail += fmt.Sprintf(" %s=%s", ageKey, time.Since(time.Unix(0, okAt)).Round(time.Second))
+	}
+	return supervise.Probe{State: st, Detail: detail}
+}
+
 // dbPath is the shard's snapshot path ("" when checkpointing is off).
 func (s *Shard) dbPath() string {
+	if s.cfg.Path != "" {
+		return s.cfg.Path
+	}
 	if s.cfg.Dir == "" {
 		return ""
 	}
@@ -355,6 +424,39 @@ func (s *Shard) Health() supervise.HealthState {
 // Restarts returns the shard's total stage restarts.
 func (s *Shard) Restarts() uint64 { return s.sup.Restarts() }
 
+// Report returns the shard's own health report: its stages and its
+// plan and checkpoint probes.
+func (s *Shard) Report() supervise.Report { return s.sup.Report() }
+
+// SetFeedHook installs fn to run before each event is fed (nil removes
+// it): the fault-injection point chaos tests use to panic the feeder.
+func (s *Shard) SetFeedHook(fn func(trace.Event)) {
+	if fn == nil {
+		s.feedHook.Store(nil)
+		return
+	}
+	s.feedHook.Store(&fn)
+}
+
+// SetSaveWrapper decorates every checkpoint write with wrap (nil
+// removes it), e.g. a fault.Sink that fails saves on demand.
+func (s *Shard) SetSaveWrapper(wrap func(save func() error) error) {
+	if wrap == nil {
+		s.wrapSave.Store(nil)
+		return
+	}
+	s.wrapSave.Store(&wrap)
+}
+
+// Hold takes the correlator lock until the returned release runs,
+// standing in for a wedged clustering: reads fall back to the stale
+// cache and ingestion backs up in the queue meanwhile.
+func (s *Shard) Hold() (release func()) {
+	s.lock()
+	var once sync.Once
+	return func() { once.Do(s.unlock) }
+}
+
 // QueueStats returns the ingestion queue depth, capacity, and drops.
 func (s *Shard) QueueStats() (depth, capacity int, drops uint64) {
 	return s.queue.Len(), s.queue.Cap(), s.queue.Drops()
@@ -363,6 +465,9 @@ func (s *Shard) QueueStats() (depth, capacity int, drops uint64) {
 // Events returns the correlator's fed-event count (atomic in the
 // correlator, so no lock needed for an operator view).
 func (s *Shard) Events() uint64 { return s.corr.Events() }
+
+// Params returns the correlator tunables the shard currently runs with.
+func (s *Shard) Params() config.Params { return *s.params.Load() }
 
 // StaleServed returns how many reads the shard answered from its
 // last-good cache.
@@ -419,9 +524,10 @@ func (s *Shard) feedCtx(ctx context.Context, ev trace.Event) bool {
 }
 
 // feedStage drains the queue into the correlator, one span per
-// contiguous same-trace run (mirrors the single-tenant feeder). On
-// shutdown an event the stage could not feed goes back into the queue
-// rather than being dropped: Drain folds whatever is left.
+// contiguous same-trace run, parented under the ingest span that
+// queued it. On shutdown an event the stage could not feed goes back
+// into the queue rather than being dropped: Drain folds whatever is
+// left.
 func (s *Shard) feedStage(ctx context.Context) error {
 	for {
 		qe, ok := s.queue.Get(ctx)
@@ -479,7 +585,11 @@ func (s *Shard) checkpointStage(ctx context.Context) error {
 		case <-t.C:
 		}
 		if err := s.save(); err != nil {
+			s.ckptFailures.Add(1)
 			s.log.Warn("checkpoint failed", "err", err)
+		} else {
+			s.ckptFailures.Store(0)
+			s.lastCkptOK.Store(time.Now().UnixNano())
 		}
 	}
 }
@@ -504,8 +614,16 @@ func (s *Shard) save() error {
 // Only a serving shard ingests; any other state is a transient error
 // the gateway retries against the slot's replacement.
 func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
+	n, _, err := s.ingestLines(ctx, lines)
+	return n, err
+}
+
+// ingestLines is IngestLines that also reports how many events the
+// lines parsed into, so the gateway can tell a batch cut short by the
+// end of its request context from a complete one.
+func (s *Shard) ingestLines(ctx context.Context, lines []string) (enqueued, parsed int, err error) {
 	if err := s.stateErr(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var (
 		tid obs.TraceID
@@ -519,7 +637,6 @@ func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
 		sp = s.tracer.StartSpan(tid, "ingest")
 	}
 	sp = sp.Attr("shard", s.name).Attr("source", "gateway")
-	var n int
 	s.parserMu.Lock()
 	evs := make([]trace.Event, 0, len(lines))
 	for _, line := range lines {
@@ -528,16 +645,64 @@ func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
 		}
 	}
 	s.parserMu.Unlock()
-	parent := sp.Context().Span
-	for _, ev := range evs {
-		if !s.queue.Put(ctx, event{ev: ev, tid: tid, parent: parent}) {
-			break
-		}
-		n++
-	}
+	sc := sp.Context()
+	sc.Trace = tid
+	n := s.enqueue(obs.ContextWithSpan(ctx, sc), evs, s.queue.Put)
 	sp.AttrInt("events", int64(n)).End()
 	s.lastTrace.Store(uint64(tid))
-	return n, nil
+	return n, len(evs), nil
+}
+
+// Enqueue hands already-parsed events to the feeder as part of the
+// batch whose span context ctx carries (the feed spans nest under it),
+// under the queue's overflow policy: block briefly, then shed the
+// oldest. It returns how many were enqueued before ctx ended; a shard
+// that is not serving refuses with its transient state error. The
+// local strace tailer feeds slot 0 through it.
+func (s *Shard) Enqueue(ctx context.Context, evs ...trace.Event) (int, error) {
+	if err := s.stateErr(); err != nil {
+		return 0, err
+	}
+	return s.enqueue(ctx, evs, s.queue.Put), nil
+}
+
+// Backfill is Enqueue without shedding: on a full queue it waits for
+// the feeder to free room (or ctx to end). The cold bootstrap from an
+// existing trace uses it, since every one of those events must reach
+// the correlator.
+func (s *Shard) Backfill(ctx context.Context, evs ...trace.Event) (int, error) {
+	if err := s.stateErr(); err != nil {
+		return 0, err
+	}
+	return s.enqueue(ctx, evs, s.queue.PutWait), nil
+}
+
+// enqueue puts evs on the queue with put, tagged with ctx's span
+// context, and returns how many went in before ctx ended.
+func (s *Shard) enqueue(ctx context.Context, evs []trace.Event, put func(context.Context, event) bool) int {
+	sc, _ := obs.SpanFromContext(ctx)
+	for i, ev := range evs {
+		if !put(ctx, event{ev: ev, tid: sc.Trace, parent: sc.Span}) {
+			return i
+		}
+	}
+	return len(evs)
+}
+
+// fallBack answers a read whose fresh build missed its deadline from
+// the last-good cache, counting the miss toward the plan probe.
+func (s *Shard) fallBack(sp *obs.ActiveSpan, hoard bool) ([]byte, bool, error) {
+	sp.Attr("outcome", "stale")
+	s.planFails.Add(1)
+	return s.serveStale(hoard)
+}
+
+// fresh records a freshly built read answer: it resets the plan probe
+// and becomes the last-good body for its endpoint.
+func (s *Shard) fresh(hoard bool, body []byte) {
+	s.planOKAt.Store(time.Now().UnixNano())
+	s.planFails.Store(0)
+	s.plans.set(hoard, body)
 }
 
 // serveStale answers from the last-good cache; ErrNoPlan without one.
@@ -567,15 +732,13 @@ func (s *Shard) Plan(ctx context.Context) (body []byte, stale bool, err error) {
 	sp := s.reqSpan(ctx, "plan")
 	defer sp.End()
 	if !s.lockCtx(ctx) {
-		sp.Attr("outcome", "stale")
-		return s.serveStale(false)
+		return s.fallBack(sp, false)
 	}
 	s.mPlans.Inc()
 	plan, perr := s.corr.PlanContext(ctx)
 	if perr != nil {
 		s.unlock()
-		sp.Attr("outcome", "stale")
-		return s.serveStale(false)
+		return s.fallBack(sp, false)
 	}
 	var buf bytes.Buffer
 	for i, e := range plan.Entries {
@@ -584,7 +747,7 @@ func (s *Shard) Plan(ctx context.Context) (body []byte, stale bool, err error) {
 	}
 	s.unlock()
 	sp.Attr("outcome", "fresh").AttrInt("entries", int64(len(plan.Entries)))
-	s.plans.set(false, buf.Bytes())
+	s.fresh(false, buf.Bytes())
 	return buf.Bytes(), false, nil
 }
 
@@ -602,18 +765,16 @@ func (s *Shard) Hoard(ctx context.Context) (body []byte, stale bool, err error) 
 	sp := s.reqSpan(ctx, "hoard")
 	defer sp.End()
 	if !s.lockCtx(ctx) {
-		sp.Attr("outcome", "stale")
-		return s.serveStale(true)
+		return s.fallBack(sp, true)
 	}
 	var buf bytes.Buffer
 	ids, herr := s.renderHoard(ctx, &buf)
 	s.unlock()
 	if herr != nil {
-		sp.Attr("outcome", "stale")
-		return s.serveStale(true)
+		return s.fallBack(sp, true)
 	}
-	sp.Attr("outcome", "fresh")
-	s.plans.set(true, buf.Bytes())
+	sp.Attr("outcome", "fresh").AttrInt("files", int64(len(ids)))
+	s.fresh(true, buf.Bytes())
 	s.hoardFill(ctx, sp, ids)
 	return buf.Bytes(), false, nil
 }
@@ -648,7 +809,7 @@ func (s *Shard) hoardFill(ctx context.Context, sp *obs.ActiveSpan, ids []simfs.F
 
 // reqSpan opens the span for a read request: parented on the gateway's
 // propagated span context when ctx carries one, else tagged onto the
-// shard's last ingest trace (the single-tenant daemon's convention).
+// shard's last gateway ingest trace.
 func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Valid() {
 		return s.tracer.StartChild(sc, stage).Attr("shard", s.name)
@@ -657,7 +818,9 @@ func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 }
 
 // renderHoard writes the hoard listing and returns the chosen file ids
-// (caller holds the lock).
+// (caller holds the lock). It also refreshes the shard's hoard gauges,
+// including the paper-§5 miss-free size: the hoard that would have
+// served every currently observed reference.
 func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, error) {
 	s.mPlans.Inc()
 	plan, err := s.corr.PlanContext(ctx)
@@ -665,6 +828,16 @@ func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, e
 		return nil, err
 	}
 	contents := plan.Fill(s.budget.Load(), s.corr.Params().SkipUnfittingClusters)
+	refs := s.corr.Observer().LastRefs()
+	ids := make([]simfs.FileID, 0, len(refs))
+	for id := range refs {
+		ids = append(ids, id)
+	}
+	missFree, unhoardable := plan.MissFreeSize(ids)
+	s.mHoardFiles.Set(int64(contents.Len()))
+	s.mHoardBytes.Set(contents.UsedBytes())
+	s.mMissFreeBytes.Set(missFree)
+	s.mUnhoardable.Set(int64(unhoardable))
 	fmt.Fprintf(w, "# hoard: %d files, %d bytes of %d budget\n",
 		contents.Len(), contents.UsedBytes(), contents.Budget())
 	for _, l := range []struct {
@@ -767,18 +940,25 @@ func (s *Shard) ApplyRuntime(rt config.Runtime) bool {
 		MaxLatency:  lat,
 		RetryAfter:  time.Duration(rt.Admit.RetryAfterSec) * time.Second,
 	})
-	// Params need the correlator lock. Bounded: one wedged shard may
-	// cost the reload paramApplyTimeout, never block neighbors forever
-	// (the hot non-param knobs above applied already). Re-check the
-	// state under the lock: a drain that began between the test above
-	// and here must not have new Params applied beneath it — the state
-	// flips before Drain touches the correlator, so Serving observed
-	// while holding the lock is authoritative.
+	// Params need the correlator lock, so a reload that leaves them
+	// unchanged skips it rather than wait behind a long clustering.
+	// Bounded: one wedged shard may cost the reload paramApplyTimeout,
+	// never block neighbors forever (the hot non-param knobs above
+	// applied already). Re-check the state under the lock: a drain that
+	// began between the test above and here must not have new Params
+	// applied beneath it — the state flips before Drain touches the
+	// correlator, so Serving observed while holding the lock is
+	// authoritative.
+	if *s.params.Load() == rt.Params {
+		return true
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), paramApplyTimeout)
 	defer cancel()
 	if s.lockCtx(ctx) {
 		if s.State() == Serving {
 			s.corr.SetParams(rt.Params)
+			p := rt.Params
+			s.params.Store(&p)
 		}
 		s.unlock()
 	} else {
@@ -964,6 +1144,3 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// unused guard so simfs stays imported if renderHoard changes shape.
-var _ = simfs.FileID(0)

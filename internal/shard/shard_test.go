@@ -129,6 +129,51 @@ func TestShardLifecycleAndPlan(t *testing.T) {
 	}
 }
 
+// A hoard fill publishes the shard's §5 gauges under its shard label,
+// and a scrape reads them without the correlator lock: it completes
+// while a wedged clustering holds it.
+func TestHoardGaugesScrapeWithoutLock(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := obs.NewRegistry()
+	cfg := testConfig(t, 3, t.TempDir())
+	cfg.Metrics = reg
+	s := Open(ctx, cfg)
+	defer s.Close()
+	ingest(t, s, testLines(0, 12))
+	if _, _, err := s.Hoard(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	release := s.Hold()
+	defer release()
+	scraped := make(chan string, 1)
+	go func() {
+		var buf strings.Builder
+		reg.WritePrometheus(&buf)
+		scraped <- buf.String()
+	}()
+	select {
+	case body := <-scraped:
+		vals, err := obs.ParseProm(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vals[`seer_hoard_files{shard="3"}`]; got != 12 {
+			t.Errorf(`seer_hoard_files{shard="3"} = %v, want 12`, got)
+		}
+		for _, name := range []string{"seer_hoard_bytes", "seer_hoard_missfree_bytes"} {
+			if vals[name+`{shard="3"}`] <= 0 {
+				t.Errorf("%s{shard=\"3\"} not set:\n%s", name, body)
+			}
+		}
+		if _, ok := vals[`seer_hoard_unhoardable_files{shard="3"}`]; !ok {
+			t.Errorf("seer_hoard_unhoardable_files{shard=\"3\"} missing:\n%s", body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("scrape blocked on the correlator lock")
+	}
+}
+
 func TestDrainReplayByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -150,6 +150,31 @@ func (q *Queue[T]) Put(ctx context.Context, v T) bool {
 	return true
 }
 
+// PutWait enqueues v without ever shedding: on a full queue it blocks
+// until the consumer frees room, and returns false only when ctx ends
+// first. It is for producers whose every item matters more than their
+// own latency, such as a cold bootstrap from an existing trace.
+func (q *Queue[T]) PutWait(ctx context.Context, v T) bool {
+	for {
+		q.mu.Lock()
+		if q.count < q.capv {
+			q.pushLocked(v)
+			q.mu.Unlock()
+			return true
+		}
+		if q.space == nil {
+			q.space = make(chan struct{})
+		}
+		sp := q.space
+		q.mu.Unlock()
+		select {
+		case <-sp:
+		case <-ctx.Done():
+			return false
+		}
+	}
+}
+
 // Get dequeues the oldest item, blocking until one arrives or ctx
 // ends. ok is false only on context end.
 func (q *Queue[T]) Get(ctx context.Context) (v T, ok bool) {

@@ -251,6 +251,37 @@ func TestQueuePutBlocksUntilConsumerFrees(t *testing.T) {
 	}
 }
 
+// PutWait never sheds: a full queue holds the producer until the
+// consumer frees room, however long that takes, or until ctx ends.
+func TestQueuePutWaitNeverSheds(t *testing.T) {
+	q := NewQueue[int](1, 0) // Put would shed at once
+	ctx := context.Background()
+	q.PutWait(ctx, 1)
+	done := make(chan bool)
+	go func() { done <- q.PutWait(ctx, 2) }()
+	select {
+	case <-done:
+		t.Fatal("PutWait returned on a full queue")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if v, _ := q.Get(ctx); v != 1 {
+		t.Fatalf("Get = %d, want 1", v)
+	}
+	if !<-done {
+		t.Fatal("PutWait failed after the consumer freed room")
+	}
+	if v, _ := q.Get(ctx); v != 2 || q.Drops() != 0 {
+		t.Fatalf("Get = %d drops = %d, want 2 and 0", v, q.Drops())
+	}
+
+	q.PutWait(ctx, 3)
+	cctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancel()
+	if q.PutWait(cctx, 4) || q.Len() != 1 || q.Drops() != 0 {
+		t.Fatalf("PutWait past its context: len %d drops %d", q.Len(), q.Drops())
+	}
+}
+
 func TestQueueGetHonorsContext(t *testing.T) {
 	q := NewQueue[int](1, 0)
 	ctx, cancel := context.WithCancel(context.Background())

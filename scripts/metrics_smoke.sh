@@ -55,10 +55,9 @@ for series in \
     fi
 done
 
-# The expvar compat view must survive the registry migration (it lives
-# on the debug listener, like pprof).
-if ! curl -fsS "http://$DEBUG_ADDR/debug/vars" | grep -q '"seer.plans_built"'; then
-    echo "MISSING expvar compat view (seer.plans_built)" >&2
+# The debug listener serves the same exposition beside pprof.
+if ! curl -fsS "http://$DEBUG_ADDR/metrics" | grep -q '^seer_plans_built_total'; then
+    echo "MISSING /metrics on the debug listener" >&2
     status=1
 fi
 
