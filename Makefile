@@ -48,12 +48,12 @@ fuzz-strace:
 # Chaos gate: run a real plain (one-shard) seerd under injected faults
 # (stage panics, stalled tail reads, failing checkpoints, wedged
 # clustering) with the race detector on, plus its follow, tracing and
-# rumor suites and the supervisor and fault-injector unit suites
-# backing it. CHAOS_COUNT repeats the run to shake out timing flakes.
+# rumor suites (the replication master's admission and reload included)
+# and the supervisor and fault-injector unit suites backing it. CHAOS_COUNT repeats the run to shake out timing flakes.
 CHAOS_COUNT ?= 1
 chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestFollowPipelineSurvivesTruncationAndRotation|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight|TestTraceFollowsBatchToPlan|RumorEndpoints|RumorDisabled' \
+		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestFollowPipelineSurvivesTruncationAndRotation|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight|TestTraceFollowsBatchToPlan|RumorEndpoints|RumorDisabled|TestRumorAdmissionReloadAndDebugConfig' \
 		./cmd/seerd/
 	$(GO) test -race -count=$(CHAOS_COUNT) ./internal/supervise/ ./internal/fault/
 
@@ -72,14 +72,14 @@ reload-smoke:
 	$(GO) build -o bin/seerd ./cmd/seerd
 	sh scripts/reload_smoke.sh
 
-# Trace smoke: a 2-shard seerd syncing hoards to a real rumord under
-# load-harness traffic; scrape an exemplar trace id off /metrics and
-# stitch it across both daemons with `seerctl trace`, failing if any
-# hop (gateway, attempt, shard, rumor client, rumord server) is
-# missing (DESIGN.md §17). Needs curl.
+# Trace smoke: a 2-shard seerd syncing hoards to a second seerd serving
+# as replication master (-shards 1 -rumor) under load-harness traffic;
+# scrape an exemplar trace id off /metrics and stitch it across both
+# daemons with `seerctl trace`, failing if any hop (gateway, attempt,
+# shard, rumor client, master server) is missing (DESIGN.md §17).
+# Needs curl.
 trace-smoke:
 	$(GO) build -o bin/seerd ./cmd/seerd
-	$(GO) build -o bin/rumord ./cmd/rumord
 	$(GO) build -o bin/seerctl ./cmd/seerctl
 	$(GO) build -o bin/seerload ./cmd/seerload
 	sh scripts/trace_smoke.sh

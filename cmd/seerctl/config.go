@@ -11,7 +11,7 @@ import (
 	"github.com/fmg/seer/internal/config"
 )
 
-// printConfig fetches /debug/config from a running seerd or rumord and
+// printConfig fetches /debug/config from a running seerd and
 // renders the active settings plus the last reload outcome as a
 // one-screen table.
 func printConfig(w io.Writer, base string) error {

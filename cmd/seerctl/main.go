@@ -53,7 +53,7 @@ func main() {
 		"optional runtime config file (the same format seerd watches): "+
 			"`param Name Value` lines set Params, `budget` sets the hoard budget")
 	addr := flag.String("addr", "http://127.0.0.1:7077",
-		"base URL of a running seerd or rumord (metrics and config subcommands); "+
+		"base URL of a running seerd (metrics and config subcommands); "+
 			"the trace subcommand accepts a comma-separated list and stitches spans across daemons")
 	flag.Parse()
 	if flag.NArg() >= 1 && flag.Arg(0) == "metrics" {

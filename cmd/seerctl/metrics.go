@@ -12,13 +12,13 @@ import (
 	"github.com/fmg/seer/internal/obs"
 )
 
-// printMetrics scrapes base/metrics from a running seerd (or rumord)
-// and renders the paper-relevant series as a one-screen table: the §5
-// headline quantities first (hoard misses, miss-free hoard size, dirty
+// printMetrics scrapes base/metrics from a running seerd and renders
+// the paper-relevant series as a one-screen table: the §5 headline
+// quantities first (hoard misses, miss-free hoard size, dirty
 // replicas), then pipeline, shard, and replication operational detail.
 // A scraped daemon missing some families — an older build, a partial
-// registry, rumord vs seerd — is normal, never an error: whatever is
-// present renders, and absent families print as "—".
+// registry, a seerd without -rumor or -rumor-url — is normal, never an
+// error: whatever is present renders, and absent families print as "—".
 func printMetrics(w io.Writer, base string) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(strings.TrimRight(base, "/") + "/metrics")

@@ -69,10 +69,11 @@ func TestPrintMetrics(t *testing.T) {
 	}
 }
 
-// A partial registry — an older daemon, rumord, or a freshly started
-// seerd that has not registered every family yet — must render what is
-// present and mark the rest "—", never error (regression: the satellite
-// fix for seerctl metrics against missing metric families).
+// A partial registry — an older daemon, a seerd without -rumor, or a
+// freshly started one that has not registered every family yet — must
+// render what is present and mark the rest "—", never error
+// (regression: the satellite fix for seerctl metrics against missing
+// metric families).
 func TestPrintMetricsPartialRegistry(t *testing.T) {
 	for name, exposition := range map[string]string{
 		"empty":      "",

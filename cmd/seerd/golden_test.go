@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -43,24 +41,9 @@ func readGolden(t *testing.T, name string) string {
 	return string(b)
 }
 
-// hoardShape canonicalises a hoard listing for comparison: the header
-// lines stay in place, the file lines are sorted — Contents.IDs lists
-// the chosen files in map order, so their order was never part of the
-// body's contract.
-func hoardShape(body string) string {
-	lines := strings.SplitAfter(body, "\n")
-	i := 0
-	for i < len(lines) && strings.HasPrefix(lines[i], "#") {
-		i++
-	}
-	sort.Strings(lines[i:])
-	return strings.Join(lines, "")
-}
-
 // A plain seerd over the golden trace serves /plan, /hoard, /clusters
 // and /stats, and prints its one-shot hoard, byte for byte as recorded
-// in testdata/golden (the hoard's file lines compared as a set; see
-// hoardShape).
+// in testdata/golden (the hoard lists its files in plan order).
 func TestGoldenBodiesByteIdentical(t *testing.T) {
 	h := goldenHost(t)
 	runTestHost(t, h)
@@ -71,11 +54,7 @@ func TestGoldenBodiesByteIdentical(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("/%s: HTTP %d %q", ep, code, body)
 		}
-		want := readGolden(t, ep)
-		if ep == "hoard" {
-			body, want = hoardShape(body), hoardShape(want)
-		}
-		if body != want {
+		if want := readGolden(t, ep); body != want {
 			t.Errorf("/%s body differs from golden\n--- got\n%s--- want\n%s", ep, body, want)
 		}
 	}
@@ -85,7 +64,7 @@ func TestGoldenBodiesByteIdentical(t *testing.T) {
 	if code := printHoard(oneShot, &out); code != 0 {
 		t.Fatalf("one-shot exit code %d", code)
 	}
-	if got, want := hoardShape(out.String()), hoardShape(readGolden(t, "oneshot")); got != want {
+	if got, want := out.String(), readGolden(t, "oneshot"); got != want {
 		t.Errorf("one-shot output differs from golden\n--- got\n%s--- want\n%s", got, want)
 	}
 }

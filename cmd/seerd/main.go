@@ -19,9 +19,9 @@
 // health detail). Without -listen, seerd prints the hoard list once and
 // exits. With -debug-addr, a second listener serves net/http/pprof
 // profiles and the same observability endpoints. With -rumor, the
-// CheapRumor replication master (the same wire protocol cmd/rumord
-// serves) is mounted under /rumor/, so laptops can reconcile against
-// the seerd host directly via replic.RemoteRumor.
+// CheapRumor replication master is mounted under /rumor/, so laptops
+// can reconcile against the seerd host directly via replic.RemoteRumor;
+// `seerd -shards 1 -rumor -listen :7078` runs a standalone master.
 //
 // One serving path: seerd always runs fault-isolated user shards behind
 // a consistent-hash gateway (internal/shard). -shards N hosts N of
@@ -66,10 +66,10 @@ import (
 
 func main() {
 	// Every tunable is one knob in internal/config's declarative table;
-	// RegisterFlags turns the seerd subset into the historical flags, and
-	// the same names work as `key value` lines in the -config file.
+	// RegisterFlags turns it into the historical flags, and the same
+	// names work as `key value` lines in the -config file.
 	rt := config.DefaultRuntime()
-	config.RegisterFlags(flag.CommandLine, &rt, config.ForSeerd)
+	config.RegisterFlags(flag.CommandLine, &rt)
 	cfgPath := flag.String("config", "",
 		"runtime config file: flag-style `key value` lines plus `param Name Value`; "+
 			"watched for live reloads while serving")

@@ -1,7 +1,8 @@
 // Command seerload is the closed-loop capacity harness: it ramps
 // Poisson-interarrival /miss, /plan, /hoard, and rumor-sync traffic
 // from a pool of simulated clients against a live seerd (plain or
-// -shards N gateway) and rumord, detects overload, fits a Universal
+// -shards N gateway, with -rumor for the sync traffic), detects
+// overload, fits a Universal
 // Scaling Law capacity model, and records or checks the BENCH_load.json
 // baseline so capacity regressions fail CI.
 //

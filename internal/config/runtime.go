@@ -13,16 +13,17 @@ import (
 // the paper's algorithm Params plus the daemon tuning that used to live
 // in scattered per-command flags (queue bounds, hoard budget, log
 // shape) and the admission-control limits. One Runtime value describes
-// everything an operator can set; the same knob table drives the
-// command-line flags of seerd/rumord/seerctl, the watched config file,
-// and the reload diff, so the three can never drift apart.
+// everything an operator can set; the same knob table drives seerd's
+// command-line flags, the watched config file (which seerctl -config
+// also reads), and the reload diff, so the three can never drift apart.
 type Runtime struct {
 	Params Params    `json:"params"`
 	Daemon Daemon    `json:"daemon"`
 	Admit  Admission `json:"admit"`
 }
 
-// Daemon collects the process-level tuning shared by seerd and rumord.
+// Daemon collects seerd's process-level tuning, including the
+// replication master it serves with -rumor.
 // Structural fields (listen addresses, input bindings) are fixed at
 // startup; the rest can change on a live reload.
 type Daemon struct {
@@ -213,18 +214,6 @@ func (r Runtime) Validate() error {
 	return nil
 }
 
-// DaemonMask selects which commands expose a knob.
-type DaemonMask uint8
-
-const (
-	// ForSeerd marks knobs surfaced as seerd flags.
-	ForSeerd DaemonMask = 1 << iota
-	// ForRumord marks knobs surfaced as rumord flags.
-	ForRumord
-	// ForSeerctl marks knobs honoured when seerctl loads a config file.
-	ForSeerctl
-)
-
 // Knob is one named tunable: the single definition behind a
 // command-line flag, a config-file key, the /debug/config rendering,
 // and the reload diff. Name doubles as both the flag name and the file
@@ -244,8 +233,6 @@ type Knob struct {
 	// current knobs are secret; the hook exists so a future credential
 	// field cannot leak by default.
 	Secret bool
-	// Daemons is the set of commands exposing this knob as a flag.
-	Daemons DaemonMask
 	// Set parses value into r; Get renders the current value.
 	Set func(r *Runtime, value string) error
 	Get func(r *Runtime) string
@@ -311,7 +298,6 @@ func buildKnobs() []Knob {
 	type spec struct {
 		name, usage       string
 		structural, bool_ bool
-		daemons           DaemonMask
 		set               func(*Runtime, string) error
 		get               func(*Runtime) string
 	}
@@ -319,7 +305,7 @@ func buildKnobs() []Knob {
 	add := func(s spec) {
 		out = append(out, Knob{
 			Name: s.name, Usage: s.usage, Structural: s.structural,
-			Bool: s.bool_, Daemons: s.daemons, Set: s.set, Get: s.get,
+			Bool: s.bool_, Set: s.set, Get: s.get,
 		})
 	}
 	var set func(*Runtime, string) error
@@ -327,96 +313,96 @@ func buildKnobs() []Knob {
 
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Strace })
 	add(spec{name: "strace", usage: "strace output file (- = stdin) fed to the one shard (-shards 0)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Listen })
 	add(spec{name: "listen", usage: "HTTP listen address",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DebugAddr })
 	add(spec{name: "debug-addr", usage: "optional listen address for pprof and debug endpoints",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DB })
 	add(spec{name: "db", usage: "the one shard's database file (-shards 0): restored at start, checkpointed while serving and at exit",
-		structural: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Follow })
 	add(spec{name: "follow", usage: "keep tailing the strace file for appended lines (requires -listen)",
-		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, bool_: true, set: set, get: get})
 	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Rumor })
 	add(spec{name: "rumor", usage: "serve the CheapRumor replication-master endpoints under /rumor/ (requires -listen)",
-		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, bool_: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.Shards })
 	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway, fed by POST /events (requires -listen; 0 = one shard fed by -strace)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.ShardDir })
 	add(spec{name: "shard-dir", usage: "directory for per-shard snapshot files (empty = no shard checkpoints)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.RumorURL })
 	add(spec{name: "rumor-url", usage: "upstream replication-master base URL for traced hoard-fill syncs (empty = no sync)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.FlightDir })
 	add(spec{name: "flight-dir", usage: "directory for flight-recorder bundles (empty = recorder disabled)",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.FlightMinIntervalSec })
 	add(spec{name: "flight-min-interval-sec", usage: "min seconds between automatic (SLO-breach) flight captures",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOFastWindowSec })
 	add(spec{name: "slo-fast-window-sec", usage: "fast (paging) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOSlowWindowSec })
 	add(spec{name: "slo-slow-window-sec", usage: "slow (confirming) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOBurnThreshold })
 	add(spec{name: "slo-burn-threshold", usage: "fast-window burn rate that marks an SLO breached",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueCap })
 	add(spec{name: "queue", usage: "bounded ingestion queue capacity between the tailer and the correlator",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueBlockMS })
 	add(spec{name: "queue-block-ms", usage: "how long an overflowing queue put blocks before shedding the oldest event",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = int64Knob(func(r *Runtime) *int64 { return &r.Daemon.HoardBudgetMB })
 	add(spec{name: "budget", usage: "hoard budget in MB",
-		daemons: ForSeerd | ForSeerctl, set: set, get: get})
+		set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.LogLevel })
 	add(spec{name: "log-level", usage: "log level: debug, info, warn, or error",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
+		set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.LogFormat })
 	add(spec{name: "log-format", usage: "log format: text (key=value) or json",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
+		set: set, get: get})
 	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Tracing })
 	add(spec{name: "tracing", usage: "record request spans (-tracing=false disables; exemplars and /debug/traces stop accumulating)",
-		bool_: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		bool_: true, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayRetries })
 	add(spec{name: "gateway-retries", usage: "max gateway attempts per request across shard re-routes on transient errors",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayRetryBaseMS })
 	add(spec{name: "gateway-retry-base-ms", usage: "first gateway retry backoff in ms (doubles per attempt, jittered)",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayTimeoutMS })
 	add(spec{name: "gateway-timeout-ms", usage: "whole-request gateway timeout in ms including retries",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.DrainTimeoutMS })
 	add(spec{name: "drain-timeout-ms", usage: "shard drain/migrate timeout in ms",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Params.ClusterChurnPct })
 	add(spec{name: "cluster-churn-threshold", usage: "incremental clustering churn threshold as a percent of tracked files; above it the correlator falls back to a full rebuild (0 = always rebuild)",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.PlanMaxInFlight })
 	add(spec{name: "admit-plan-inflight", usage: "max concurrent requests per shard (0 = unlimited)",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RumorMaxInFlight })
 	add(spec{name: "admit-rumor-inflight", usage: "max concurrent /rumor/ requests (0 = unlimited)",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxQueuePct })
 	add(spec{name: "admit-queue-pct", usage: "shed plan requests while the ingestion queue is at least this percent full (0 = disabled)",
-		daemons: ForSeerd, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxLatencyMS })
 	add(spec{name: "admit-latency-ms", usage: "shed requests while recent endpoint latency exceeds this EWMA in ms (0 = disabled)",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
+		set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RetryAfterSec })
 	add(spec{name: "admit-retry-after", usage: "Retry-After seconds advertised on shed (429) responses",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
+		set: set, get: get})
 	return out
 }
 
@@ -440,15 +426,12 @@ type FlagSet interface {
 	BoolFunc(name, usage string, fn func(string) error)
 }
 
-// RegisterFlags binds every knob in mask onto fs, writing parsed values
-// into r. Flag defaults in help text come from r's current values, so
+// RegisterFlags binds every knob onto fs, writing parsed values into
+// r. Flag defaults in help text come from r's current values, so
 // register after filling r with DefaultRuntime().
-func RegisterFlags(fs FlagSet, r *Runtime, mask DaemonMask) {
+func RegisterFlags(fs FlagSet, r *Runtime) {
 	for i := range knobs {
 		k := &knobs[i]
-		if k.Daemons&mask == 0 {
-			continue
-		}
 		usage := fmt.Sprintf("%s (default %q)", k.Usage, k.Get(r))
 		if k.Bool {
 			fs.BoolFunc(k.Name, usage, func(v string) error {

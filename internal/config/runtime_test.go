@@ -102,7 +102,7 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	r := DefaultRuntime()
 	fs := flag.NewFlagSet("seerd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	RegisterFlags(fs, &r, ForSeerd)
+	RegisterFlags(fs, &r)
 	err := fs.Parse([]string{
 		"-queue", "2048", "-budget", "64", "-log-level", "warn",
 		"-follow", "-rumor", "-admit-plan-inflight", "3",
@@ -114,30 +114,6 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 		r.Daemon.LogLevel != "warn" || !r.Daemon.Follow || !r.Daemon.Rumor ||
 		r.Admit.PlanMaxInFlight != 3 {
 		t.Errorf("flags not applied: %+v %+v", r.Daemon, r.Admit)
-	}
-}
-
-func TestRumordFlagParity(t *testing.T) {
-	// The PR-5 logging flags must exist on rumord via the shared knob
-	// table, alongside its admission knobs.
-	r := DefaultRuntime()
-	fs := flag.NewFlagSet("rumord", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	RegisterFlags(fs, &r, ForRumord)
-	for _, name := range []string{"listen", "debug-addr", "log-level", "log-format",
-		"admit-rumor-inflight", "admit-retry-after"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("rumord flag set lacks -%s", name)
-		}
-	}
-	if fs.Lookup("strace") != nil || fs.Lookup("db") != nil {
-		t.Error("rumord flag set has seerd-only knobs")
-	}
-	if err := fs.Parse([]string{"-log-level", "debug", "-log-format", "json"}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Daemon.LogLevel != "debug" || r.Daemon.LogFormat != "json" {
-		t.Errorf("log flags not applied: %+v", r.Daemon)
 	}
 }
 

@@ -199,12 +199,14 @@ func (p *Plan) Fill(budget int64, wholeClusters bool) *Contents {
 // Contents is a filled hoard.
 type Contents struct {
 	files  map[simfs.FileID]bool
+	order  []simfs.FileID
 	used   int64
 	budget int64
 }
 
 func (c *Contents) add(f *simfs.File) {
 	c.files[f.ID] = true
+	c.order = append(c.order, f.ID)
 	c.used += f.Size
 }
 
@@ -220,14 +222,9 @@ func (c *Contents) UsedBytes() int64 { return c.used }
 // Budget returns the configured budget.
 func (c *Contents) Budget() int64 { return c.budget }
 
-// IDs returns the hoarded file ids in unspecified order.
-func (c *Contents) IDs() []simfs.FileID {
-	out := make([]simfs.FileID, 0, len(c.files))
-	for id := range c.files {
-		out = append(out, id)
-	}
-	return out
-}
+// IDs returns the hoarded file ids in the order Fill admitted them
+// (plan order), or in ContentsOf's order (shared; do not mutate).
+func (c *Contents) IDs() []simfs.FileID { return c.order }
 
 // ContentsOf builds a membership-only Contents from a list of file ids;
 // size accounting is not preserved. Diff uses it to compare a new fill
@@ -235,7 +232,10 @@ func (c *Contents) IDs() []simfs.FileID {
 func ContentsOf(ids []simfs.FileID) *Contents {
 	c := &Contents{files: make(map[simfs.FileID]bool, len(ids))}
 	for _, id := range ids {
-		c.files[id] = true
+		if !c.files[id] {
+			c.files[id] = true
+			c.order = append(c.order, id)
+		}
 	}
 	return c
 }

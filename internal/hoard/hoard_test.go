@@ -1,6 +1,7 @@
 package hoard
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -179,14 +180,35 @@ func TestDiff(t *testing.T) {
 	}
 }
 
+// IDs lists a fill in plan order: the plan's entries filtered by Has,
+// whatever the budget and cluster atomicity.
 func TestContentsIDs(t *testing.T) {
-	_, fs := mkfs(1, 2)
+	_, fs := mkfs(10, 50, 50, 10, 5, 20, 5)
 	b := NewBuilder()
-	b.Add(fs[0], ReasonRecency, 0)
-	b.Add(fs[1], ReasonRecency, 0)
-	c := b.Plan().Fill(100, false)
-	if got := c.IDs(); len(got) != 2 {
-		t.Errorf("IDs = %v", got)
+	b.Add(fs[6], ReasonAlways, 0)
+	b.Add(fs[1], ReasonCluster, 1)
+	b.Add(fs[2], ReasonCluster, 1)
+	b.Add(fs[3], ReasonCluster, 2)
+	b.Add(fs[0], ReasonCluster, 2)
+	b.Add(fs[5], ReasonRecency, 0)
+	b.Add(fs[4], ReasonRecency, 0)
+	p := b.Plan()
+	for _, whole := range []bool{false, true} {
+		for _, budget := range []int64{0, 5, 30, 60, 120, 1000} {
+			c := p.Fill(budget, whole)
+			var want []simfs.FileID
+			for _, e := range p.Entries {
+				if c.Has(e.File.ID) {
+					want = append(want, e.File.ID)
+				}
+			}
+			if got := c.IDs(); !slices.Equal(got, want) {
+				t.Errorf("Fill(%d, %v).IDs() = %v, want plan order %v", budget, whole, got, want)
+			}
+		}
+	}
+	if got := ContentsOf([]simfs.FileID{3, 1, 3, 2}).IDs(); !slices.Equal(got, []simfs.FileID{3, 1, 2}) {
+		t.Errorf("ContentsOf IDs = %v, want [3 1 2]", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package load is SEER's closed-loop load harness: a pool of simulated
 // clients fires Poisson-interarrival /miss, /plan, /hoard, and
-// rumor-sync traffic at a live seerd (single-tenant or sharded
-// gateway) and rumord, ramps the offered rate in steps, and records
-// per-step throughput, latency quantiles, and error/shed rates. A
+// rumor-sync traffic at a live seerd (one-shard or sharded gateway,
+// serving /rumor/ with -rumor), ramps the offered rate in steps, and
+// records per-step throughput, latency quantiles, and error/shed rates. A
 // step whose failure rate stays above a threshold for a tolerance
 // window marks the system overloaded and stops the ramp (the
 // vhive-loader idiom); the measurements then feed a Universal Scaling
@@ -49,7 +49,7 @@ type Options struct {
 	// ignores and the gateway routes on).
 	Target string
 	// Rumor is the replication base URL mounting the /rumor/ wire
-	// protocol (rumord, or seerd -rumor). Empty disables sync traffic.
+	// protocol (seerd -rumor). Empty disables sync traffic.
 	Rumor string
 
 	// Clients is the number of concurrent simulated clients.

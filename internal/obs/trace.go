@@ -154,7 +154,7 @@ type Tracer struct {
 
 // NewTracer returns a tracer remembering the last capacity spans
 // (minimum 16). Trace and span ids start from random bases so ids
-// minted by different processes (gateway, shards, rumord) land in
+// minted by different processes (a seerd and its replication master) land in
 // disjoint ranges and a propagated id never collides with a local one.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 16 {

@@ -428,8 +428,9 @@ func (s *Shard) Restarts() uint64 { return s.sup.Restarts() }
 // plan and checkpoint probes.
 func (s *Shard) Report() supervise.Report { return s.sup.Report() }
 
-// SetFeedHook installs fn to run before each event is fed (nil removes
-// it): the fault-injection point chaos tests use to panic the feeder.
+// SetFeedHook installs fn to run before each event is fed, under the
+// correlator lock (nil removes it): the fault-injection point chaos
+// tests use to panic the feeder. fn must not take the lock.
 func (s *Shard) SetFeedHook(fn func(trace.Event)) {
 	if fn == nil {
 		s.feedHook.Store(nil)
@@ -508,68 +509,75 @@ func (s *Shard) stateErr() error {
 	return nil
 }
 
-// feedCtx applies one event under the correlator lock, giving up when
-// ctx ends first (a stage shutdown racing a wedged correlator) — the
-// caller re-queues the event so the drain fold still sees it.
-func (s *Shard) feedCtx(ctx context.Context, ev trace.Event) bool {
-	if h := s.feedHook.Load(); h != nil {
-		(*h)(ev)
-	}
-	if !s.lockCtx(ctx) {
-		return false
-	}
-	s.corr.Feed(ev)
-	s.unlock()
-	return true
-}
-
-// feedStage drains the queue into the correlator, one span per
-// contiguous same-trace run, parented under the ingest span that
-// queued it. On shutdown an event the stage could not feed goes back
-// into the queue rather than being dropped: Drain folds whatever is
-// left.
+// feedStage drains the queue into the correlator. Each wake-up folds
+// the event it got and the run queued behind it under one hold of the
+// correlator lock (foldRun), so a burst waits behind queued readers
+// once rather than once per event. Spans: one per contiguous same-trace
+// run, parented under the ingest span that queued it. On shutdown an
+// event the stage could not feed goes back into the queue rather than
+// being dropped: Drain folds whatever is left.
 func (s *Shard) feedStage(ctx context.Context) error {
+	var (
+		sp   *obs.ActiveSpan
+		cur  obs.TraceID
+		curP obs.SpanID
+		n    int64
+	)
+	end := func() {
+		if sp != nil {
+			sp.AttrInt("events", n).End()
+		}
+		sp, n = nil, 0
+	}
+	track := func(qe event) {
+		if sp == nil || qe.tid != cur || qe.parent != curP {
+			end()
+			cur, curP = qe.tid, qe.parent
+			if curP != 0 {
+				sp = s.tracer.StartChild(obs.SpanContext{Trace: cur, Span: curP}, "feed")
+			} else {
+				sp = s.tracer.StartSpan(cur, "feed")
+			}
+			sp = sp.Attr("shard", s.name)
+		}
+		n++
+	}
 	for {
 		qe, ok := s.queue.Get(ctx)
 		if !ok {
 			return nil
 		}
-		var (
-			sp   *obs.ActiveSpan
-			cur  obs.TraceID
-			curP obs.SpanID
-			n    int64
-		)
-		end := func() {
-			if sp != nil {
-				sp.AttrInt("events", n).End()
-			}
-			sp, n = nil, 0
-		}
-		for {
-			if sp == nil || qe.tid != cur || qe.parent != curP {
-				end()
-				cur, curP = qe.tid, qe.parent
-				if curP != 0 {
-					sp = s.tracer.StartChild(obs.SpanContext{Trace: cur, Span: curP}, "feed")
-				} else {
-					sp = s.tracer.StartSpan(cur, "feed")
-				}
-				sp = sp.Attr("shard", s.name)
-			}
-			if !s.feedCtx(ctx, qe.ev) {
+		for ok {
+			if !s.lockCtx(ctx) {
+				// A stage shutdown racing a wedged correlator: re-queue
+				// so the drain fold still sees the event.
 				s.queue.Put(context.Background(), qe)
 				end()
 				return nil
 			}
-			n++
-			next, more := s.queue.TryGet()
-			if !more {
-				break
-			}
-			qe = next
+			qe, ok = s.foldRun(qe, track)
 		}
 		end()
+	}
+}
+
+// foldRun feeds qe and then the events already queued behind it, at
+// most as many as the queue held on entry, all under the correlator
+// lock the caller took. The feed hook runs before each event. The lock
+// is released on return, and also when the hook or the correlator
+// panics. It returns the next queued event when it stopped at that
+// bound with more waiting.
+func (s *Shard) foldRun(qe event, track func(event)) (next event, more bool) {
+	defer s.unlock()
+	for left := s.queue.Len(); ; left-- {
+		track(qe)
+		if h := s.feedHook.Load(); h != nil {
+			(*h)(qe.ev)
+		}
+		s.corr.Feed(qe.ev)
+		if qe, more = s.queue.TryGet(); !more || left <= 0 {
+			return qe, more
+		}
 	}
 }
 

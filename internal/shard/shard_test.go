@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/supervise"
+	"github.com/fmg/seer/internal/trace"
 )
 
 // testLine renders one valid strace openat line with a distinct path.
@@ -172,6 +174,69 @@ func TestHoardGaugesScrapeWithoutLock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("scrape blocked on the correlator lock")
 	}
+}
+
+// heldBacklog holds s's correlator lock, enqueues n lines, and waits
+// until the feeder has taken the first and queued on the lock behind
+// the hold. The caller releases.
+func heldBacklog(t *testing.T, s *Shard, n int) (before uint64, release func()) {
+	t.Helper()
+	before = s.Events()
+	release = s.Hold()
+	t.Cleanup(release)
+	if got, err := s.IngestLines(context.Background(), testLines(0, n)); err != nil || got != n {
+		t.Fatalf("IngestLines = %d, %v; want %d", got, err, n)
+	}
+	waitFor(t, "feeder waiting on the lock", func() bool { return s.queue.Len() == n-1 })
+	return before, release
+}
+
+// The feeder folds everything queued when it wins the lock in one hold:
+// a reader queued on the lock behind it sees the whole backlog fed, not
+// one event.
+func TestFeederFoldsBacklogUnderOneHold(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := Open(ctx, testConfig(t, 0, t.TempDir()))
+	defer s.Close()
+	before, release := heldBacklog(t, s, 10)
+	seen := make(chan uint64, 1)
+	go func() {
+		s.lock()
+		seen <- s.Events()
+		s.unlock()
+	}()
+	time.Sleep(20 * time.Millisecond) // let the reader queue behind the feeder
+	release()
+	if got := <-seen - before; got != 10 {
+		t.Errorf("reader behind the feeder saw %d of 10 queued events fed", got)
+	}
+}
+
+// A panic in the middle of a fold releases the correlator lock: the
+// supervisor restarts the feeder, the lock can be taken, and only the
+// event in flight is lost.
+func TestFeederPanicMidFoldReleasesLock(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := Open(ctx, testConfig(t, 0, t.TempDir()))
+	defer s.Close()
+	before, release := heldBacklog(t, s, 10)
+	var calls atomic.Int32
+	s.SetFeedHook(func(trace.Event) {
+		if calls.Add(1) == 3 {
+			panic("injected mid-fold panic")
+		}
+	})
+	release()
+	waitFor(t, "feeder restart", func() bool { return s.Restarts() > 0 })
+	lctx, lcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer lcancel()
+	if !s.lockCtx(lctx) {
+		t.Fatal("correlator lock still held after the feeder panicked mid-fold")
+	}
+	s.unlock()
+	waitFor(t, "backlog past the poison fed", func() bool { return s.Events() == before+9 })
 }
 
 func TestDrainReplayByteIdentical(t *testing.T) {

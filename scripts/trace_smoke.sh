@@ -1,16 +1,16 @@
 #!/bin/sh
-# Trace smoke test: boot a 2-shard seerd pointed at a real rumord,
-# drive mixed traffic through the closed-loop load harness, scrape an
-# exemplar trace id off /metrics, and stitch that trace across both
-# daemons with `seerctl trace` — failing if any expected hop (gateway
-# root, retry attempt layer, shard stage, rumor client hop, rumord
-# server hop) is missing from the rendered tree. This is the black-box
+# Trace smoke test: boot a 2-shard seerd pointed at a second seerd
+# serving as replication master (-shards 1 -rumor), drive mixed traffic
+# through the closed-loop load harness, scrape an exemplar trace id off
+# /metrics, and stitch that trace across both daemons with `seerctl
+# trace` — failing if any expected hop (gateway root, retry attempt
+# layer, shard stage, rumor client hop, master server hop) is missing
+# from the rendered tree. This is the black-box
 # proof that one request is reconstructable end to end from a bucket
 # exemplar, using only the built binaries (DESIGN.md §17).
 set -eu
 
 BIN=${BIN:-bin/seerd}
-RUMORBIN=${RUMORBIN:-bin/rumord}
 CTLBIN=${CTLBIN:-bin/seerctl}
 LOADBIN=${LOADBIN:-bin/seerload}
 ADDR=${ADDR:-127.0.0.1:7397}
@@ -33,9 +33,9 @@ wait_up() {
     done
 }
 
-"$RUMORBIN" -listen "$RUMOR_ADDR" > "$WORK/rumord.log" 2>&1 &
+"$BIN" -shards 1 -rumor -listen "$RUMOR_ADDR" > "$WORK/master.log" 2>&1 &
 RPID=$!
-wait_up "$RUMOR_ADDR" "$WORK/rumord.log"
+wait_up "$RUMOR_ADDR" "$WORK/master.log"
 
 "$BIN" -shards 2 -shard-dir "$WORK/shards" -listen "$ADDR" \
     -rumor-url "http://$RUMOR_ADDR/rumor" > "$WORK/seerd.log" 2>&1 &
@@ -52,7 +52,7 @@ curl -fsS "http://$ADDR/metrics" > "$WORK/metrics.txt"
 
 # At least one OpenMetrics exemplar must be present, and the hoard
 # endpoint's exemplar hands us a trace id whose request crossed every
-# layer: gateway -> attempt -> shard hoard -> rumor sync -> rumord.
+# layer: gateway -> attempt -> shard hoard -> rumor sync -> master.
 if ! grep -q '# {trace_id=' "$WORK/metrics.txt"; then
     echo "MISSING exemplars on /metrics" >&2
     exit 1
@@ -79,7 +79,7 @@ done
 if [ $status -ne 0 ]; then
     echo "--- /debug/traces (seerd) ---" >&2
     curl -fsS "http://$ADDR/debug/traces?trace=$TID" >&2 || true
-    echo "--- /debug/traces (rumord) ---" >&2
+    echo "--- /debug/traces (master) ---" >&2
     curl -fsS "http://$RUMOR_ADDR/debug/traces?trace=$TID" >&2 || true
     exit $status
 fi
@@ -94,4 +94,4 @@ for obj in plan hoard; do
     fi
 done
 
-echo "trace smoke: exemplar trace $TID stitched across seerd + rumord; all hops present"
+echo "trace smoke: exemplar trace $TID stitched across seerd + master seerd; all hops present"
