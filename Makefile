@@ -39,21 +39,23 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core/
 
 # Fuzz the strace line parser (escape decoding, fd tracking, timestamp
-# rollover all chew on untrusted text). CI runs this briefly on every
-# push; extend -fuzztime locally for a deeper run.
+# rollover all chew on untrusted text) and the line splitter every
+# strace input goes through (POST /events bodies included). CI runs
+# each briefly on every push; extend -fuzztime locally for a deeper run.
 FUZZTIME_STRACE ?= 10s
 fuzz-strace:
 	$(GO) test -fuzz=FuzzParseLine -fuzztime=$(FUZZTIME_STRACE) -run '^$$' ./internal/strace/
+	$(GO) test -fuzz=FuzzLines -fuzztime=$(FUZZTIME_STRACE) -run '^$$' ./internal/strace/
 
 # Chaos gate: run a real plain (one-shard) seerd under injected faults
 # (stage panics, stalled tail reads, failing checkpoints, wedged
 # clustering) with the race detector on, plus its follow, tracing and
-# rumor suites (the replication master's admission and reload included)
+# rumor suites, the ingest-path differential test (the replication master's admission and reload included)
 # and the supervisor and fault-injector unit suites backing it. CHAOS_COUNT repeats the run to shake out timing flakes.
 CHAOS_COUNT ?= 1
 chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestFollowPipelineSurvivesTruncationAndRotation|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight|TestTraceFollowsBatchToPlan|RumorEndpoints|RumorDisabled|TestRumorAdmissionReloadAndDebugConfig' \
+		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestFollowPipelineSurvivesTruncationAndRotation|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight|TestTraceFollowsBatchToPlan|RumorEndpoints|RumorDisabled|TestRumorAdmissionReloadAndDebugConfig|TestIngestPathsAgree' \
 		./cmd/seerd/
 	$(GO) test -race -count=$(CHAOS_COUNT) ./internal/supervise/ ./internal/fault/
 

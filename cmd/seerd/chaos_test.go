@@ -171,7 +171,6 @@ func TestChaosPipeline(t *testing.T) {
 			next++
 		}
 	}
-	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	feedN(5)
 	waitEvents(t, h, 3)
 	if code, hdr, body := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" || body == "" {
@@ -282,7 +281,6 @@ func TestChaosPipeline(t *testing.T) {
 	// Recovery within the backoff budget: ResetAfter (50ms) + one clean
 	// run; give it the 10s waitHealth budget at most.
 	waitHealth(t, client, base, "healthy")
-	time.Sleep(30 * time.Millisecond) // restarted tailer seeks to end first
 	beforeRecov := wantEvents()
 	feedN(2)
 	waitFor(t, "tailing after breaker recovery", func() bool { return wantEvents() > beforeRecov })

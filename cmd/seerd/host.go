@@ -21,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -69,8 +70,13 @@ type host struct {
 	mReloadApplied  *obs.Counter
 	mReloadRejected *obs.Counter
 
-	// wrapTail, when set, decorates the tailer's file reader (the chaos
-	// tests' fault-injection point).
+	// follow says the tailer continues slot 0's local input after
+	// bootstrap: the file in, handed over up to inOff. wrapTail, when
+	// set, decorates the tailer's file reader (the chaos tests'
+	// fault-injection point).
+	follow   bool
+	in       *os.File
+	inOff    int64
 	wrapTail func(io.Reader) io.Reader
 
 	mu            sync.Mutex
@@ -154,7 +160,9 @@ func newHost(ctx context.Context, hc hostConfig) *host {
 	if rt.Daemon.DebugAddr != "" {
 		addStage("debug", h.serverStage(rt.Daemon.DebugAddr, h.debugMux(), &h.debugHTTPAddr))
 	}
-	if rt.Daemon.Shards == 0 && rt.Daemon.Follow && rt.Daemon.Strace != "-" {
+	h.follow = rt.Daemon.Shards == 0 && rt.Daemon.Follow && rt.Daemon.Strace != "-" &&
+		rt.Daemon.Listen != "" // one-shot mode never starts the stages
+	if h.follow {
 		addStage("tailer", h.tailStage)
 	}
 	if hc.cfgPath != "" {

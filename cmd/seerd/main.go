@@ -33,12 +33,12 @@
 // checkpointer, HTTP listeners — runs under a supervisor that captures
 // panics and restarts the stage with exponential backoff and jitter; a
 // stage that keeps failing trips a circuit breaker and flips health
-// (healthy → degraded → unavailable) instead of crash-looping. The
-// tailer hands events to the shard's feeder through a bounded queue
-// (block briefly, then shed-oldest with a drop counter), so a wedged
-// clustering can never stall the tail loop, and /plan and /hoard fall
-// back to the last-good plan (X-Seer-Stale: true) when a fresh one
-// cannot be built before the deadline.
+// (healthy → degraded → unavailable) instead of crash-looping. Strace
+// lines reach a shard's bounded queue through its own parser: POST
+// /events sheds the oldest on overflow, the local trace waits (the file
+// is its own buffer), and /plan and /hoard fall back to the last-good
+// plan (X-Seer-Stale: true) when a fresh one cannot be built before the
+// deadline.
 //
 // Durability: with -db (one shard) or -shard-dir, each shard's database
 // is restored at startup through a recovery ladder (snapshot, then its
@@ -135,11 +135,10 @@ func run(rt, base config.Runtime, cfgPath string, cfgData []byte) int {
 	h := newHost(ctx, hostConfig{rt: rt, base: base, cfgPath: cfgPath, cfgData: cfgData})
 
 	if rt.Daemon.Shards == 0 {
-		// Bootstrap: one cold pass over the existing trace, recorded as
-		// its own ingestion trace so /debug/traces shows the cold load
-		// next to the follow batches. A signal during a large read stops
-		// it promptly; whatever was learned up to that point is still
-		// checkpointed before a clean exit.
+		// Bootstrap: one cold pass over the existing trace, which the
+		// tailer continues under -follow. A signal during a large read
+		// stops it promptly; whatever was learned up to that point is
+		// still checkpointed before a clean exit.
 		n, err := h.bootstrap(ctx, in)
 		switch {
 		case errors.Is(err, context.Canceled):

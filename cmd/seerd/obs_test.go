@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -50,9 +51,9 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
-	// One ingestion batch: the tailer reads these lines in one burst and
-	// closes the batch at the next EOF pause, publishing its trace id.
-	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
+	// One ingestion batch: the tailer hands the lines it read up to an
+	// EOF pause to slot 0 as one batch, whose ingest span carries the
+	// trace id. (The seed line's batch parses to no events.)
 	for i := 0; i < 5; i++ {
 		appendLine(t, path, chaosLine(i))
 	}
@@ -60,11 +61,10 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	var tid obs.TraceID
 	waitFor(t, "ingestion batch trace id", func() bool {
 		for _, sp := range h.tracer.Spans() {
-			for _, a := range sp.Attrs {
-				if sp.Stage == "ingest" && a == (obs.Attr{Key: "source", Value: "follow"}) {
-					tid = sp.Trace
-					return true
-				}
+			if sp.Stage == "ingest" && slices.Contains(sp.Attrs, obs.Attr{Key: "source", Value: "local"}) &&
+				!slices.Contains(sp.Attrs, obs.Attr{Key: "events", Value: "0"}) {
+				tid = sp.Trace
+				return true
 			}
 		}
 		return false

@@ -122,54 +122,6 @@ func seed(t *testing.T, h *host) {
 	}
 }
 
-func TestFeedLinesDeliversAll(t *testing.T) {
-	var got []string
-	err := feedLines(context.Background(), strings.NewReader("a\nbb\nccc"), 100, func(s string) {
-		got = append(got, s)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "bb", "ccc"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFeedLinesSkipsOversized(t *testing.T) {
-	// An oversized line between two normal ones is skipped, not fatal —
-	// the bufio.Scanner this replaced died with ErrTooLong here.
-	huge := strings.Repeat("x", 300)
-	in := "before\n" + huge + "\nafter\n"
-	var got []string
-	if err := feedLines(context.Background(), strings.NewReader(in), 100, func(s string) {
-		got = append(got, s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "before" || got[1] != "after" {
-		t.Fatalf("got %v, want [before after]", got)
-	}
-}
-
-func TestFeedLinesSkipsOversizedTail(t *testing.T) {
-	huge := strings.Repeat("x", 300)
-	var got []string
-	if err := feedLines(context.Background(), strings.NewReader("ok\n"+huge), 100, func(s string) {
-		got = append(got, s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "ok" {
-		t.Fatalf("got %v, want [ok]", got)
-	}
-}
-
 // The -db file is slot 0's snapshot: every close checkpoints it with
 // the previous one rotated to .bak, and a restart climbs the recovery
 // ladder — intact primary, then the backup, then a fresh database.
@@ -292,7 +244,6 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // let the tailer seek to the end
 	if _, err := f.WriteString(line1); err != nil {
 		t.Fatal(err)
 	}

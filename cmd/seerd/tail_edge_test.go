@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,7 +40,6 @@ func TestFollowFailureMatrix(t *testing.T) {
 	defer stop()
 
 	// Healthy append baseline.
-	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	appendLine(t, path, chaosLine(0))
 	waitEvents(t, h, 1)
 
@@ -106,108 +103,4 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if r.Events() != total {
 		t.Fatalf("restored %d events after failure matrix, want %d", r.Events(), total)
 	}
-}
-
-// The feedLines oversized-line boundary semantics: a line's length
-// includes its newline when compared against maxLine, so content of
-// exactly maxLine bytes is skipped while maxLine-1 passes. These pins
-// keep that edge from silently moving.
-func TestFeedLinesMaxLineBoundary(t *testing.T) {
-	const maxLine = 100
-	exact := strings.Repeat("a", maxLine)   // maxLine content + \n => skipped
-	under := strings.Repeat("b", maxLine-1) // maxLine-1 content + \n => delivered
-	in := exact + "\n" + under + "\n" + "ok\n"
-	var got []string
-	if err := feedLines(context.Background(), strings.NewReader(in), maxLine, func(s string) {
-		got = append(got, s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != under || got[1] != "ok" {
-		t.Fatalf("got %d lines %v, want [%d-byte line, ok]", len(got), preview(got), maxLine-1)
-	}
-}
-
-// An oversized final line with no terminating newline must be skipped
-// without delivering anything, without error, and without hanging.
-func TestFeedLinesOversizedUnterminatedTail(t *testing.T) {
-	const maxLine = 64 * 1024
-	in := "first\n" + strings.Repeat("x", 2*maxLine) // no trailing \n
-	var got []string
-	done := make(chan error, 1)
-	go func() {
-		done <- feedLines(context.Background(), strings.NewReader(in), maxLine, func(s string) {
-			got = append(got, s)
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("feedLines hung on oversized unterminated tail")
-	}
-	if len(got) != 1 || got[0] != "first" {
-		t.Fatalf("got %v, want [first]", preview(got))
-	}
-}
-
-// An oversized line whose newline lands exactly on the 64 KiB bufio
-// buffer boundary exercises the skip state machine across the
-// chunk-reassembly path: the line is skipped and the next line is still
-// delivered.
-func TestFeedLinesOversizedAtBufferBoundary(t *testing.T) {
-	const bufSize = 64 * 1024
-	in := strings.Repeat("y", bufSize-1) + "\n" + "after\n"
-	var got []string
-	if err := feedLines(context.Background(), strings.NewReader(in), 100, func(s string) {
-		got = append(got, s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "after" {
-		t.Fatalf("got %v, want [after]", preview(got))
-	}
-}
-
-// Cancellation mid-stream stops delivery promptly: feedLines checks the
-// context every 64 lines, so cancelling inside the callback stops the
-// stream well short of the input and returns context.Canceled.
-func TestFeedLinesCancelMidStream(t *testing.T) {
-	const total = 1024
-	var in strings.Builder
-	for i := 0; i < total; i++ {
-		in.WriteString("line\n")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	delivered := 0
-	err := feedLines(ctx, strings.NewReader(in.String()), 100, func(string) {
-		delivered++
-		if delivered == 10 {
-			cancel()
-		}
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if delivered >= total {
-		t.Fatalf("delivered all %d lines despite cancellation", delivered)
-	}
-	if delivered > 10+64 {
-		t.Fatalf("delivered %d lines after cancel at 10; the every-64-lines check is not working", delivered)
-	}
-}
-
-// preview truncates long captured lines for failure messages.
-func preview(lines []string) []string {
-	out := make([]string, len(lines))
-	for i, s := range lines {
-		if len(s) > 32 {
-			s = s[:32] + "..."
-		}
-		out[i] = s
-	}
-	return out
 }

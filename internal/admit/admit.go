@@ -223,34 +223,3 @@ func (l *Limiter) WrapFunc(next http.HandlerFunc) http.HandlerFunc {
 		next(w, req)
 	}
 }
-
-// Set is a named group of limiters — one per daemon — so health probes
-// and reload plumbing can address "all the daemon's limiters" at once.
-type Set struct {
-	limiters []*Limiter
-}
-
-// NewSet returns an empty Set.
-func NewSet() *Set { return &Set{} }
-
-// Add constructs a Limiter via New and tracks it in the set.
-func (s *Set) Add(name string, reg *obs.Registry, pressure func() int) *Limiter {
-	l := New(name, reg, pressure)
-	s.limiters = append(s.limiters, l)
-	return l
-}
-
-// Limiters returns the tracked limiters.
-func (s *Set) Limiters() []*Limiter { return s.limiters }
-
-// ShedRecently reports whether any tracked limiter shed within the
-// window, naming the offenders.
-func (s *Set) ShedRecently(window time.Duration) (bool, []string) {
-	var names []string
-	for _, l := range s.limiters {
-		if l.ShedRecently(window) {
-			names = append(names, l.name)
-		}
-	}
-	return len(names) > 0, names
-}

@@ -189,18 +189,6 @@ func TestShedRecently(t *testing.T) {
 	if l.ShedRecently(time.Nanosecond) {
 		t.Fatal("nanosecond window still matches")
 	}
-
-	s := NewSet()
-	a := s.Add("a", nil, nil)
-	s.Add("b", nil, nil)
-	if hit, _ := s.ShedRecently(time.Hour); hit {
-		t.Fatal("empty set sheds")
-	}
-	a.lastShed.Store(time.Now().UnixNano())
-	hit, names := s.ShedRecently(time.Hour)
-	if !hit || len(names) != 1 || names[0] != "a" {
-		t.Fatalf("hit=%v names=%v", hit, names)
-	}
 }
 
 func TestHotLimitChangeTakesEffect(t *testing.T) {

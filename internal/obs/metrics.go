@@ -179,11 +179,6 @@ func (h *Histogram) ObserveTrace(v float64, id TraceID) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
-}
-
 // RetainExemplars ties the histogram's exemplars to t: every trace
 // referenced by a bucket exemplar is pinned against t's span-ring
 // eviction until displaced, so following an exemplar from /metrics to
@@ -192,21 +187,6 @@ func (h *Histogram) RetainExemplars(t *Tracer) {
 	if h != nil {
 		h.tracer.Store(t)
 	}
-}
-
-// Exemplars returns the per-bucket exemplar trace ids (zero where no
-// traced observation has landed); index len(bounds) is +Inf.
-func (h *Histogram) Exemplars() []TraceID {
-	if h == nil {
-		return nil
-	}
-	out := make([]TraceID, len(h.exemplars))
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out[i] = e.trace
-		}
-	}
-	return out
 }
 
 // CountUnder returns the number of observations at or below bound,

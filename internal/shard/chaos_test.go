@@ -748,3 +748,27 @@ func TestEventsPartialIngestIsNotOK(t *testing.T) {
 		t.Errorf("partial ingest reported %d of %d, want a short nonzero count of 20", n, parsed)
 	}
 }
+
+// A POST /events body over maxIngestBody answers 413 and enqueues
+// nothing, rather than ingesting a prefix cut off mid-line.
+func TestEventsBodyOverLimitIs413(t *testing.T) {
+	mgr, ts := newOneSlotGateway(t, 512, 10)
+	defer mgr.Close()
+	var body strings.Builder
+	for i := 0; body.Len() <= maxIngestBody; i++ {
+		body.WriteString(testLine(i) + "\n")
+	}
+	body.WriteString(testLine(0) + "\n")
+	resp, err := http.Post(ts.URL+"/events", contentText, strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d %q, want 413", resp.StatusCode, msg)
+	}
+	if depth, _, _ := mgr.Shard(0).QueueStats(); depth != 0 || mgr.Shard(0).Events() != 0 {
+		t.Fatalf("oversized body left %d queued and %d fed events, want none", depth, mgr.Shard(0).Events())
+	}
+}

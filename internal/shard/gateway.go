@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -16,6 +14,7 @@ import (
 	"github.com/fmg/seer/internal/hoard"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/stats"
+	"github.com/fmg/seer/internal/strace"
 )
 
 // contentText is the Content-Type of every text endpoint.
@@ -433,7 +432,9 @@ func (g *Gateway) handleMiss(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleEvents ingests strace lines for one user: POST
-// /events?user=alice with the raw lines as the body. The write is
+// /events?user=alice with the raw lines as the body. A body over
+// maxIngestBody answers 413 with nothing ingested, and a line over
+// strace.MaxLine is skipped like any unparsable line. The write is
 // routed with the full retry discipline, so a drain in progress on the
 // user's slot delays the ingest by a backoff instead of losing it. A
 // batch cut short because the request context ended (a full queue
@@ -452,27 +453,25 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var lines []string
-	sc := bufio.NewScanner(io.LimitReader(req.Body, maxIngestBody))
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
+	err := strace.EachLine(http.MaxBytesReader(w, req.Body, maxIngestBody), func(line string) {
+		lines = append(lines, line)
+	})
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("body over %d bytes; nothing ingested", tooBig.Limit),
+			http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := g.boundCtx(req)
 	defer cancel()
 	out := g.traced(ctx, req, "events", u, func(ctx context.Context, s *Shard) ([]byte, bool, error) {
-		n, parsed, err := s.ingestLines(ctx, lines)
+		n, err := s.IngestLines(ctx, lines)
 		if err != nil {
 			return nil, false, err
-		}
-		if n < parsed {
-			return nil, false, fmt.Errorf("ingested %d of %d events before the request ended: %w",
-				n, parsed, ctx.Err())
 		}
 		return fmt.Appendf(nil, "ingested %d events\n", n), false, nil
 	})

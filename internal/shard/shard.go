@@ -287,6 +287,9 @@ type Shard struct {
 	// wrapSave, when set, decorates the checkpoint op (fault.Sink).
 	wrapSave atomic.Pointer[func(func() error) error]
 
+	// life is the stages' context: it ends when the shard stops
+	// serving, which also releases a Backfill waiting on a full queue.
+	life    context.Context
 	cancel  context.CancelFunc
 	started atomic.Bool
 }
@@ -360,9 +363,8 @@ func Open(ctx context.Context, cfg Config) *Shard {
 			s.planOKAt.Load(), "last_fresh_age", fmt.Sprintf(" stale_served=%d", s.staleSrv.Load()))
 	})
 
-	sctx, cancel := context.WithCancel(ctx)
-	s.cancel = cancel
-	s.sup.Start(sctx)
+	s.life, s.cancel = context.WithCancel(ctx)
+	s.sup.Start(s.life)
 	s.started.Store(true)
 	s.setState(Serving)
 	return s
@@ -615,23 +617,36 @@ func (s *Shard) save() error {
 	return op()
 }
 
-// IngestLines parses strace lines and enqueues the resulting events as
-// one traced batch. A gateway-propagated span context on ctx parents
-// the ingest span (and through it the feed span) inside the request's
-// distributed trace; without one the batch mints its own trace id.
-// Only a serving shard ingests; any other state is a transient error
-// the gateway retries against the slot's replacement.
+// IngestLines parses strace lines with the shard's own parser and
+// enqueues the resulting events as one traced batch under the queue's
+// overflow policy: block briefly, then shed the oldest. POST /events
+// uses it. A gateway-propagated span context on ctx parents the ingest
+// span (and through it the feed span) inside the request's distributed
+// trace; without one the batch mints its own trace id. A batch cut
+// short because ctx ended is an error that says how many events went
+// in. Only a serving shard ingests; any other state is a transient
+// error the gateway retries against the slot's replacement.
 func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
-	n, _, err := s.ingestLines(ctx, lines)
-	return n, err
+	return s.ingest(ctx, lines, "gateway", s.queue.Put)
 }
 
-// ingestLines is IngestLines that also reports how many events the
-// lines parsed into, so the gateway can tell a batch cut short by the
-// end of its request context from a complete one.
-func (s *Shard) ingestLines(ctx context.Context, lines []string) (enqueued, parsed int, err error) {
+// Backfill is IngestLines without shedding: on a full queue it waits
+// for the feeder to free room, until ctx ends or the shard stops
+// serving. seerd's local strace input uses it: the file is its own
+// buffer, so shedding from it would only lose events.
+func (s *Shard) Backfill(ctx context.Context, lines []string) (int, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(s.life, cancel)()
+	return s.ingest(ctx, lines, "local", s.queue.PutWait)
+}
+
+// ingest is the one body of IngestLines and Backfill: parse the lines
+// under the parser lock, then put the events on the queue with put,
+// under an ingest span tagged with source.
+func (s *Shard) ingest(ctx context.Context, lines []string, source string, put func(context.Context, event) bool) (int, error) {
 	if err := s.stateErr(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	var (
 		tid obs.TraceID
@@ -644,7 +659,7 @@ func (s *Shard) ingestLines(ctx context.Context, lines []string) (enqueued, pars
 		tid = s.tracer.NewTrace()
 		sp = s.tracer.StartSpan(tid, "ingest")
 	}
-	sp = sp.Attr("shard", s.name).Attr("source", "gateway")
+	sp = sp.Attr("shard", s.name).Attr("source", source)
 	s.parserMu.Lock()
 	evs := make([]trace.Event, 0, len(lines))
 	for _, line := range lines {
@@ -653,48 +668,17 @@ func (s *Shard) ingestLines(ctx context.Context, lines []string) (enqueued, pars
 		}
 	}
 	s.parserMu.Unlock()
-	sc := sp.Context()
-	sc.Trace = tid
-	n := s.enqueue(obs.ContextWithSpan(ctx, sc), evs, s.queue.Put)
+	parent := sp.Context().Span
+	n := 0
+	for n < len(evs) && put(ctx, event{ev: evs[n], tid: tid, parent: parent}) {
+		n++
+	}
 	sp.AttrInt("events", int64(n)).End()
 	s.lastTrace.Store(uint64(tid))
-	return n, len(evs), nil
-}
-
-// Enqueue hands already-parsed events to the feeder as part of the
-// batch whose span context ctx carries (the feed spans nest under it),
-// under the queue's overflow policy: block briefly, then shed the
-// oldest. It returns how many were enqueued before ctx ended; a shard
-// that is not serving refuses with its transient state error. The
-// local strace tailer feeds slot 0 through it.
-func (s *Shard) Enqueue(ctx context.Context, evs ...trace.Event) (int, error) {
-	if err := s.stateErr(); err != nil {
-		return 0, err
+	if n < len(evs) {
+		return n, fmt.Errorf("ingested %d of %d events before the context ended: %w", n, len(evs), ctx.Err())
 	}
-	return s.enqueue(ctx, evs, s.queue.Put), nil
-}
-
-// Backfill is Enqueue without shedding: on a full queue it waits for
-// the feeder to free room (or ctx to end). The cold bootstrap from an
-// existing trace uses it, since every one of those events must reach
-// the correlator.
-func (s *Shard) Backfill(ctx context.Context, evs ...trace.Event) (int, error) {
-	if err := s.stateErr(); err != nil {
-		return 0, err
-	}
-	return s.enqueue(ctx, evs, s.queue.PutWait), nil
-}
-
-// enqueue puts evs on the queue with put, tagged with ctx's span
-// context, and returns how many went in before ctx ended.
-func (s *Shard) enqueue(ctx context.Context, evs []trace.Event, put func(context.Context, event) bool) int {
-	sc, _ := obs.SpanFromContext(ctx)
-	for i, ev := range evs {
-		if !put(ctx, event{ev: ev, tid: sc.Trace, parent: sc.Span}) {
-			return i
-		}
-	}
-	return len(evs)
+	return n, nil
 }
 
 // fallBack answers a read whose fresh build missed its deadline from

@@ -469,3 +469,38 @@ func TestStateStrings(t *testing.T) {
 		t.Error("unknown state should render its number")
 	}
 }
+
+// A Backfill waiting on a full queue returns once the shard stops
+// serving, instead of waiting forever on a queue no feeder drains, and
+// says how many of its events went in.
+func TestBackfillReturnsWhenShardStops(t *testing.T) {
+	cfg := testConfig(t, 0, "")
+	cfg.QueueCap = 4
+	s := Open(context.Background(), cfg)
+	release := s.Hold() // the feeder cannot fold, so the queue fills
+	defer release()
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := s.Backfill(context.Background(), testLines(0, 20))
+		done <- result{n, err}
+	}()
+	waitFor(t, "a full queue", func() bool { d, c, _ := s.QueueStats(); return d == c })
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	select {
+	case r := <-done:
+		if r.err == nil || r.n >= 20 {
+			t.Errorf("Backfill on a stopped shard: %d events, err %v; want a short count and an error", r.n, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Backfill still waiting after the shard stopped serving")
+	}
+	release()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+}

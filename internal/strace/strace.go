@@ -16,7 +16,6 @@
 package strace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -60,20 +59,16 @@ func NewParser() *Parser {
 // Parse consumes strace output and returns the events it could extract.
 // Unrecognized lines are skipped; a line that looks like strace output
 // but cannot be parsed is skipped silently too (strace emits plenty of
-// decoration: signals, exit markers, attach notices).
+// decoration: signals, exit markers, attach notices), and so is a line
+// over MaxLine. The error is r's own read error, if any.
 func (p *Parser) Parse(r io.Reader) ([]trace.Event, error) {
 	var events []trace.Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if ev, ok := p.ParseLine(sc.Text()); ok {
+	err := EachLine(r, func(line string) {
+		if ev, ok := p.ParseLine(line); ok {
 			events = append(events, ev)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return events, err
-	}
-	return events, nil
+	})
+	return events, err
 }
 
 // ParseLine parses one line of strace output.

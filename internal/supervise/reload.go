@@ -17,9 +17,10 @@ import (
 // Change detection is by content, not mtime: each poll reads the file
 // and compares bytes against the last content handed to Apply, so
 // same-second rewrites and mtime-preserving copies are still caught. A
-// torn read of a non-atomically-written file simply fails validation in
-// Apply and is retried on the next poll; writers should still prefer
-// write-to-temp-then-rename.
+// zero-byte file is ignored: it is what a poll sees between a writer's
+// truncate and its write, and applied it would reset every knob to its
+// flag value (a file of only a comment line does that on purpose).
+// Writers should still prefer write-to-temp-then-rename.
 //
 // Apply errors do not stop the watcher: the caller logs/counts the
 // rejection and the old configuration keeps serving. A missing file is
@@ -83,10 +84,11 @@ func (w *Watcher) Stage() StageFunc {
 }
 
 // check reads the file and applies changed content. Read errors
-// (missing file, permissions) leave the last-applied state untouched.
+// (missing file, permissions) and a zero-byte file leave the
+// last-applied state untouched.
 func (w *Watcher) check() {
 	data, err := os.ReadFile(w.path)
-	if err != nil {
+	if err != nil || len(data) == 0 {
 		return
 	}
 	if w.last != nil && bytes.Equal(data, w.last) {

@@ -81,6 +81,15 @@ func TestWatcherAppliesChanges(t *testing.T) {
 	if got != "queue 300\n" {
 		t.Fatalf("applied %q", got)
 	}
+	// A zero-byte file, what a poll sees between a writer's truncate and
+	// its write, is never applied.
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if count() != 2 {
+		t.Fatalf("zero-byte file applied: %d applies", count())
+	}
 	cancel()
 	<-done
 }

@@ -156,15 +156,15 @@ func (s *Seer) ObserveAll(evs []Event) {
 }
 
 // ObserveStrace parses strace(1) output and feeds every recognized
-// event. See internal/strace for the strace invocation to use.
+// event; it splits lines as seerd does, skipping any over 1 MiB. On a
+// read error of r it feeds nothing. See internal/strace for the strace
+// invocation to use.
 func (s *Seer) ObserveStrace(r io.Reader) error {
-	p := strace.NewParser()
-	evs, err := p.Parse(r)
-	if err != nil {
-		return err
+	evs, err := strace.NewParser().Parse(r)
+	if err == nil {
+		s.ObserveAll(evs)
 	}
-	s.ObserveAll(evs)
-	return nil
+	return err
 }
 
 // AddRelations registers external-investigator findings (paper §3.3.3).
@@ -227,13 +227,10 @@ func (s *Seer) HoardPlan() []PlanEntry {
 // pathnames in hoard-priority order. Only complete projects are hoarded
 // (paper §2).
 func (s *Seer) Hoard(budgetBytes int64) []string {
-	plan := s.corr.Plan()
-	contents := plan.Fill(budgetBytes, s.corr.Params().SkipUnfittingClusters)
-	var out []string
-	for _, e := range plan.Entries {
-		if contents.Has(e.File.ID) {
-			out = append(out, e.File.Path)
-		}
+	contents := s.corr.Plan().Fill(budgetBytes, s.corr.Params().SkipUnfittingClusters)
+	out := make([]string, 0, len(contents.IDs()))
+	for _, id := range contents.IDs() {
+		out = append(out, s.corr.FS().Get(id).Path)
 	}
 	return out
 }
