@@ -14,7 +14,7 @@ GO ?= go
 BENCH_TOLERANCE ?= 0.15
 BENCH_ALLOC_TOLERANCE ?= 0.15
 BENCH_TIME ?= 5x
-BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
+BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$|BenchmarkSnapshotLoad$$
 BENCH_SIM = BenchmarkFigure3$$|BenchmarkTable3$$|BenchmarkWorkloadGenerate$$|BenchmarkSemanticDistance$$
 
 .PHONY: check vet build test test-race fuzz fuzz-strace chaos shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench
@@ -33,10 +33,16 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the snapshot loader; extend -fuzztime for a
-# deeper run.
+# Fuzz what a restart and replication decode: the snapshot loader
+# (the byte-slice core.Load RestoreSnapshot calls), the frame decoder
+# of every replication HTTP body, and the binary trace reader (whose
+# stream refill is also driven one byte per read). CI runs each for
+# 10s on every push; raise FUZZTIME for a deeper run.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core/
+	$(GO) test -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
+	$(GO) test -fuzz='^FuzzBinaryReader$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace/
 
 # Fuzz the strace line parser (escape decoding, fd tracking, timestamp
 # rollover all chew on untrusted text) and the line splitter every

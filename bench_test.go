@@ -336,10 +336,37 @@ func BenchmarkSaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		size := buf.Len()
-		if _, err := core.Load(&buf, opts); err != nil {
+		if _, err := core.Load(buf.Bytes(), opts); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(size), "bytes/snapshot")
+	}
+}
+
+// BenchmarkSnapshotLoad measures restoring one user's snapshot, the
+// per-shard work behind a daemon's restart: machine G's Light(17)
+// trace, the corpus perfbench's users post, is fed and saved once, and
+// each iteration only loads the ~0.4 MB snapshot.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	gen := workload.NewGenerator(mustProfile(b, "G").Light(17), 1)
+	tr := gen.Generate()
+	params := config.DefaultRuntime().Params
+	opts := core.Options{Params: &params, Seed: 1, DirSize: gen.DirSize}
+	corr := core.New(opts)
+	for _, ev := range tr.Events {
+		corr.Feed(ev)
+	}
+	var buf bytes.Buffer
+	if err := corr.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Load(data, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -160,8 +160,8 @@ func newHost(ctx context.Context, hc hostConfig) *host {
 	if rt.Daemon.DebugAddr != "" {
 		addStage("debug", h.serverStage(rt.Daemon.DebugAddr, h.debugMux(), &h.debugHTTPAddr))
 	}
-	h.follow = rt.Daemon.Shards == 0 && rt.Daemon.Follow && rt.Daemon.Strace != "-" &&
-		rt.Daemon.Listen != "" // one-shot mode never starts the stages
+	// Validate admits follow only with a strace file, listen and shards 0.
+	h.follow = rt.Daemon.Follow
 	if h.follow {
 		addStage("tailer", h.tailStage)
 	}

@@ -133,14 +133,15 @@ func TestIngestPathsAgree(t *testing.T) {
 		})
 	}
 	t.Run("oneshot-follow/unterminated", func(t *testing.T) {
-		// Without -listen nothing follows, so the cold pass parses the
-		// unterminated last line itself.
+		// Without -listen nothing follows (Validate refuses -follow
+		// there), so the cold pass parses the unterminated last line
+		// itself.
 		path := filepath.Join(t.TempDir(), "seer.strace")
 		if err := os.WriteFile(path, []byte(strings.TrimSuffix(all, "\n")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rt := testRuntime(path)
-		rt.Daemon.Follow, rt.Daemon.Listen, rt.Daemon.HoardBudgetMB = true, "", 1
+		rt.Daemon.Listen, rt.Daemon.HoardBudgetMB = "", 1
 		h := newTestHost(t, hostConfig{rt: rt})
 		f, err := os.Open(path)
 		if err != nil {

@@ -172,6 +172,11 @@ func (r Runtime) Validate() error {
 		// keep their snapshots under shard-dir; the local-input knobs
 		// belong to the one-shard deployment.
 		return fmt.Errorf("config: db, follow and strace apply only with shards 0 (use shard-dir and POST /events)")
+	case d.Follow && d.Strace == "-":
+		return fmt.Errorf("config: follow tails a strace file, not stdin")
+	case d.Follow && d.Listen == "":
+		// Without listen seerd prints one hoard and exits: no tailer runs.
+		return fmt.Errorf("config: follow requires listen")
 	case d.GatewayRetries < 0:
 		return fmt.Errorf("config: negative gateway retries %d", d.GatewayRetries)
 	case d.GatewayRetryBaseMS < 0:

@@ -49,6 +49,26 @@ func TestRuntimeValidateRejects(t *testing.T) {
 	}
 }
 
+func TestValidateRefusesFollowWithoutTailer(t *testing.T) {
+	// -follow needs a file to tail and a serving daemon to tail it in;
+	// anywhere else it would be accepted and silently do nothing.
+	r := DefaultRuntime()
+	r.Daemon.Strace, r.Daemon.Listen, r.Daemon.Follow = "t.strace", ":0", true
+	if err := r.Validate(); err != nil {
+		t.Fatalf("follow with a file and listen refused: %v", err)
+	}
+	stdin := r
+	stdin.Daemon.Strace = "-"
+	if err := stdin.Validate(); err == nil || !strings.Contains(err.Error(), "stdin") {
+		t.Errorf("follow on stdin: %v, want refusal", err)
+	}
+	oneShot := r
+	oneShot.Daemon.Listen = ""
+	if err := oneShot.Validate(); err == nil || !strings.Contains(err.Error(), "requires listen") {
+		t.Errorf("follow without listen: %v, want refusal", err)
+	}
+}
+
 func TestApplyFileOverridesAndParams(t *testing.T) {
 	r := DefaultRuntime()
 	src := `

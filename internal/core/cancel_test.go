@@ -46,25 +46,6 @@ func TestPlanContextCanceled(t *testing.T) {
 	}
 }
 
-func TestFillContextDeadline(t *testing.T) {
-	c := grown(t, 120)
-	// An already-expired deadline aborts; a generous one succeeds and
-	// the result matches the uncancelled path.
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := c.FillContext(ctx, 1<<20); err == nil {
-		t.Fatal("FillContext with expired deadline succeeded")
-	}
-	got, err := c.FillContext(context.Background(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c.Fill(1 << 20)
-	if got.Len() != want.Len() {
-		t.Fatalf("FillContext len %d != Fill len %d", got.Len(), want.Len())
-	}
-}
-
 func TestCanceledClusteringDoesNotPoisonCache(t *testing.T) {
 	c := grown(t, 80)
 	res1 := c.Clusters() // populate cache

@@ -70,9 +70,6 @@ type Correlator struct {
 	fullRebuilds   uint64
 	incRebuilds    uint64
 	churnFallbacks uint64
-	// lastClusterTime is how long the most recent (uncached) clustering
-	// took; surfaced by the daemon's debug endpoint.
-	lastClusterTime time.Duration
 
 	// reg and the instruments below are the correlator's telemetry. The
 	// registry is shared with the embedding daemon (seerd mounts it at
@@ -238,10 +235,6 @@ func (c *Correlator) PendingChanges() int {
 	return len(c.pending) + c.tbl.PendingChanges()
 }
 
-// LastClusterDuration returns how long the most recent re-clustering
-// took (zero before the first one).
-func (c *Correlator) LastClusterDuration() time.Duration { return c.lastClusterTime }
-
 // Feed processes one trace event.
 func (c *Correlator) Feed(ev trace.Event) {
 	if ev.Op == trace.OpRename {
@@ -290,12 +283,6 @@ func (c *Correlator) AddRelations(rels []investigate.Relation) {
 		investigate.Pairs(rels, resolve, c.p.InvestigatorWeight)...)
 }
 
-// ClearRelations drops all registered investigator relations.
-func (c *Correlator) ClearRelations() {
-	c.fullDirty = true
-	c.extraPairs = nil
-}
-
 // ForceHoard marks a file for unconditional inclusion in future hoard
 // plans. This is the back half of the paper's miss-recording mechanism
 // (§4.4): "the same user action both records the miss and arranges for
@@ -339,12 +326,6 @@ func (c *Correlator) ForcedFiles() []simfs.FileID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ClearForced empties the forced hoard set (typically after the next
-// successful hoard fill has serviced the recorded misses).
-func (c *Correlator) ClearForced() {
-	c.forced = make(map[simfs.FileID]bool)
 }
 
 // filteredSource exposes the semantic-distance table to the clustering
@@ -485,9 +466,7 @@ func (c *Correlator) ClustersContext(ctx context.Context) (*cluster.Result, erro
 			if err := ctx.Err(); err != nil {
 				return nil, errors.Join(ErrCanceled, err)
 			}
-			start := time.Now()
 			if cluster.Patch(c.cache, src, c.pending, opts, kn, kf) {
-				c.lastClusterTime = time.Since(start)
 				c.incRebuilds++
 				c.mRebuildInc.Inc()
 				c.mPatchSize.Observe(float64(len(c.pending)))
@@ -509,8 +488,7 @@ func (c *Correlator) ClustersContext(ctx context.Context) (*cluster.Result, erro
 		}
 		return nil, ErrCanceled
 	}
-	c.lastClusterTime = time.Since(start)
-	c.mClusterDur.Observe(c.lastClusterTime.Seconds())
+	c.mClusterDur.Observe(time.Since(start).Seconds())
 	if overChurn {
 		c.churnFallbacks++
 		c.mFallbacks.Inc()
@@ -539,16 +517,6 @@ func (c *Correlator) PlanContext(ctx context.Context) (*hoard.Plan, error) {
 		return nil, err
 	}
 	return c.planFrom(res), nil
-}
-
-// FillContext is Fill with cancellation, for deadline-bound hoard
-// requests.
-func (c *Correlator) FillContext(ctx context.Context, budget int64) (*hoard.Contents, error) {
-	p, err := c.PlanContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return p.Fill(budget, c.p.SkipUnfittingClusters), nil
 }
 
 // PlanFrom builds a plan from a previously computed cluster result,

@@ -25,7 +25,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("SEERDB"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := Load(bytes.NewReader(data), opts)
+		restored, err := Load(data, opts)
 		if err == nil && restored == nil {
 			t.Error("nil correlator without error")
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/fmg/seer/internal/cluster"
 	"github.com/fmg/seer/internal/semdist"
@@ -107,14 +108,16 @@ func (c *Correlator) saveV1(out io.Writer) error {
 	return w.Flush()
 }
 
-// Load restores a correlator saved with Save. The options supply the
-// parameter set, control file and directory sizer, which are
-// configuration rather than state. Both the current framed v2 format
-// and the legacy v1 format are accepted. Load never panics: arbitrary
-// input yields an error (framing violations, checksum mismatches, or
-// CorruptError for decodable nonsense).
-func Load(in io.Reader, opts Options) (*Correlator, error) {
-	r := wire.NewReader(in)
+// Load restores a correlator from data, a snapshot written by Save. The
+// options supply the parameter set, control file and directory sizer,
+// which are configuration rather than state. Both the current framed v2
+// format and the legacy v1 format are accepted, and both are decoded in
+// place: no section is copied out of data, and every table is sized
+// from its count, capped by the bytes left to decode it from. Load
+// never panics: arbitrary input yields an error (framing violations,
+// checksum mismatches, or CorruptError for decodable nonsense).
+func Load(data []byte, opts Options) (*Correlator, error) {
+	r := wire.NewBytesReader(data)
 	if magic := r.Str(); magic != dbMagic {
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -222,6 +225,7 @@ func (c *Correlator) loadRelations(r *wire.Reader) error {
 	if n < 0 {
 		return &CorruptError{Section: "rel", Detail: fmt.Sprintf("negative relation count %d", n)}
 	}
+	c.extraPairs = slices.Grow(c.extraPairs, r.SizeHint(n, 3)) // a byte per field at least
 	for i := 0; i < n && r.Err() == nil; i++ {
 		c.extraPairs = append(c.extraPairs, cluster.Pair{
 			From:   simfs.FileID(r.U64()),
@@ -241,6 +245,7 @@ func (c *Correlator) loadForced(r *wire.Reader) error {
 	if nf < 0 {
 		return &CorruptError{Section: "forced", Detail: fmt.Sprintf("negative forced-file count %d", nf)}
 	}
+	c.forced = make(map[simfs.FileID]bool, r.SizeHint(nf, 1)) // a byte per id at least
 	for i := 0; i < nf && r.Err() == nil; i++ {
 		c.forced[simfs.FileID(r.U64())] = true
 	}

@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/fmg/seer/internal/config"
@@ -59,7 +59,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), opts)
+	restored, err := Load(buf.Bytes(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSaveLoadPreservesObserverState(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), opts)
+	restored, err := Load(buf.Bytes(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestSaveLoadPreservesObserverState(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a database"), Options{}); err == nil {
+	if _, err := Load([]byte("not a database"), Options{}); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(strings.NewReader(""), Options{}); err == nil {
+	if _, err := Load([]byte(""), Options{}); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Truncated valid prefix.
@@ -128,7 +128,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/3]
-	if _, err := Load(bytes.NewReader(trunc), opts); err == nil {
+	if _, err := Load(trunc, opts); err == nil {
 		t.Error("truncated database accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	b := buf.Bytes()
 	// The version varint follows the 1-byte length + 6-byte magic.
 	b[7] = 99
-	if _, err := Load(bytes.NewReader(b), opts); err == nil {
+	if _, err := Load(b, opts); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestLoadV1Compat(t *testing.T) {
 	if err := orig.saveV1(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), opts)
+	restored, err := Load(buf.Bytes(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestLoadTruncateEveryByte(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for n := 0; n < len(data); n++ {
-		if _, err := Load(bytes.NewReader(data[:n]), opts); err == nil {
+		if _, err := Load(data[:n], opts); err == nil {
 			t.Fatalf("prefix of %d/%d bytes accepted", n, len(data))
 		}
 	}
 	// The full snapshot still loads.
-	if _, err := Load(bytes.NewReader(data), opts); err != nil {
+	if _, err := Load(data, opts); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestLoadDetectsEveryBitFlip(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			flipped := bytes.Clone(data)
 			flipped[i] ^= 1 << bit
-			if _, err := Load(bytes.NewReader(flipped), opts); err == nil {
+			if _, err := Load(flipped, opts); err == nil {
 				t.Fatalf("flip of byte %d bit %d accepted", i, bit)
 			}
 		}
@@ -260,11 +260,11 @@ func TestLoadRejectsNegativeCounts(t *testing.T) {
 	negative := func(w *wire.Writer) { w.Int(-1) }
 
 	var ce *CorruptError
-	_, err := Load(bytes.NewReader(craft(negative, empty)), opts)
+	_, err := Load(craft(negative, empty), opts)
 	if !errors.As(err, &ce) || ce.Section != "rel" {
 		t.Errorf("negative relation count: got %v, want CorruptError in rel", err)
 	}
-	_, err = Load(bytes.NewReader(craft(empty, negative)), opts)
+	_, err = Load(craft(empty, negative), opts)
 	if !errors.As(err, &ce) || ce.Section != "forced" {
 		t.Errorf("negative forced count: got %v, want CorruptError in forced", err)
 	}
@@ -281,7 +281,7 @@ func TestCheckInvariants(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), opts)
+	restored, err := Load(buf.Bytes(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,4 +293,76 @@ func TestCheckInvariants(t *testing.T) {
 	if problems := restored.CheckInvariants(); len(problems) == 0 {
 		t.Fatal("corruption not detected")
 	}
+}
+
+// TestRestoreEquivalentAtScale restores a snapshot the size a daemon
+// restarts from (machine G's Light(17) corpus) and checks that the
+// restored correlator is the saved one: it saves the same bytes and
+// plans the same. It then feeds the rest of the trace to the restored
+// correlator and to a reference restored from the same state through
+// the v1 format over a one-byte stream, whose neighbor lists are
+// allocated one by one; Save bytes and plans must stay identical. The
+// in-place restore cuts its lists from shared slabs, so a list whose
+// capacity ran into the next one would be overwritten here. (The
+// original is no reference past the split: its random streams for file
+// sizes and tie breaks have advanced, and a restore starts them afresh,
+// as it drops per-process state.)
+func TestRestoreEquivalentAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("feeds a full machine-G corpus")
+	}
+	prof, ok := workload.ProfileByName("G")
+	if !ok {
+		t.Fatal("no profile G")
+	}
+	gen := workload.NewGenerator(prof.Light(17), 3)
+	evs := gen.Generate().Events
+	p := config.DefaultRuntime().Params
+	opts := Options{Params: &p, Seed: 1, DirSize: gen.DirSize}
+	orig := New(opts)
+	half := len(evs) / 2
+	for _, ev := range evs[:half] {
+		orig.Feed(ev)
+	}
+	save := func(c *Correlator) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	snap := save(orig)
+	restored, err := Load(snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(restored), snap) {
+		t.Fatal("restored correlator saves different bytes")
+	}
+	plansEqual(t, orig, restored)
+
+	var v1 bytes.Buffer
+	if err := orig.saveV1(&v1); err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(iotest.OneByteReader(&v1))
+	if r.Str() != dbMagic || r.U64() != dbVersion1 {
+		t.Fatalf("v1 header unreadable: %v", r.Err())
+	}
+	ref, err := loadV1(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(ref), snap) {
+		t.Fatal("reference correlator saves different bytes")
+	}
+	for _, ev := range evs[half:] {
+		restored.Feed(ev)
+		ref.Feed(ev)
+	}
+	if !bytes.Equal(save(restored), save(ref)) {
+		t.Fatal("after the rest of the trace, restored correlator saves different bytes")
+	}
+	plansEqual(t, ref, restored)
 }

@@ -37,9 +37,6 @@ func NewRefiller(budget int64, wholeClusters bool, minDwell int) *Refiller {
 	}
 }
 
-// Fills returns the number of refills performed.
-func (r *Refiller) Fills() int { return r.fills }
-
 // Has reports whether the file is currently hoarded.
 func (r *Refiller) Has(id simfs.FileID) bool {
 	_, ok := r.current[id]

@@ -33,8 +33,8 @@ func TestRefillerFetchesAndEvicts(t *testing.T) {
 	if len(evict) != 1 || evict[0] != fs[1].ID {
 		t.Errorf("evict = %v, want file 1", evict)
 	}
-	if r.UsedBytes() != 20 || r.Len() != 2 || r.Fills() != 2 {
-		t.Errorf("used=%d len=%d fills=%d", r.UsedBytes(), r.Len(), r.Fills())
+	if r.UsedBytes() != 20 || r.Len() != 2 {
+		t.Errorf("used=%d len=%d", r.UsedBytes(), r.Len())
 	}
 }
 

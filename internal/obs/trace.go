@@ -278,17 +278,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// TraceSpans returns the buffered spans of one trace, oldest first.
-func (t *Tracer) TraceSpans(id TraceID) []Span {
-	var out []Span
-	for _, s := range t.Spans() {
-		if s.Trace == id {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ActiveSpan is an in-progress span; End records it.
 type ActiveSpan struct {
 	t     *Tracer

@@ -36,8 +36,8 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	s.End()
 	s.End() // idempotent
-	got := tr.TraceSpans(id)
-	if len(got) != 1 {
+	got := tr.Spans()
+	if len(got) != 1 || got[0].Trace != id {
 		t.Fatalf("trace has %d spans, want 1", len(got))
 	}
 	sp := got[0]

@@ -76,32 +76,40 @@ func (o *Observer) Save(w *wire.Writer) {
 }
 
 // Load restores state saved with Save into a freshly constructed
-// Observer (same params, control and fs as at save time).
+// Observer (same params, control and fs as at save time). Each map is
+// replaced by one sized from its saved count, capped by the bytes left
+// in r.
 func (o *Observer) Load(r *wire.Reader) error {
 	o.stats.Events = r.U64()
 	o.stats.References = r.U64()
 	o.totalRefs = r.U64()
 
-	loadIDMapU64 := func(m map[simfs.FileID]uint64) {
+	// Size hints: every saved element takes at least a byte per field.
+	loadIDMapU64 := func() map[simfs.FileID]uint64 {
 		n := r.Int()
+		m := make(map[simfs.FileID]uint64, r.SizeHint(n, 2))
 		for i := 0; i < n && r.Err() == nil; i++ {
 			id := simfs.FileID(r.U64())
 			m[id] = r.U64()
 		}
+		return m
 	}
-	loadIDSet := func(m map[simfs.FileID]bool) {
+	loadIDSet := func() map[simfs.FileID]bool {
 		n := r.Int()
+		m := make(map[simfs.FileID]bool, r.SizeHint(n, 1))
 		for i := 0; i < n && r.Err() == nil; i++ {
 			m[simfs.FileID(r.U64())] = true
 		}
+		return m
 	}
-	loadIDMapU64(o.refCounts)
-	loadIDMapU64(o.lastRef)
-	loadIDSet(o.frequent)
-	loadIDSet(o.always)
-	loadIDSet(o.excluded)
+	o.refCounts = loadIDMapU64()
+	o.lastRef = loadIDMapU64()
+	o.frequent = loadIDSet()
+	o.always = loadIDSet()
+	o.excluded = loadIDSet()
 
 	n := r.Int()
+	o.hist = make(map[string]*progHistory, r.SizeHint(n, 4))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		p := r.Str()
 		h := &progHistory{
@@ -113,6 +121,7 @@ func (o *Observer) Load(r *wire.Reader) error {
 	}
 
 	nd := r.Int()
+	o.churn = make(map[string]*dirChurn, r.SizeHint(nd, 3))
 	for i := 0; i < nd && r.Err() == nil; i++ {
 		d := r.Str()
 		o.churn[d] = &dirChurn{creates: r.U64(), deletes: r.U64()}

@@ -37,7 +37,18 @@ func (t *Table) Save(w *wire.Writer) {
 	}
 }
 
-// LoadTable reconstructs a table saved with Save.
+const (
+	// minEntryBytes and minNeighborBytes are the least a saved entry
+	// header (id, count) and a saved neighbor take: one byte per field.
+	minEntryBytes    = 2
+	minNeighborBytes = 4
+	// slabNeighbors is how many neighbors one restore slab holds.
+	slabNeighbors = 4096
+)
+
+// LoadTable reconstructs a table saved with Save. The tables are sized
+// from the saved file count, and the neighbor lists cut from shared
+// slabs, each capped by the bytes left in r.
 func LoadTable(r *wire.Reader, p config.Params, rng *stats.Rand) (*Table, error) {
 	t := NewTable(p, rng)
 	t.opens = r.U64()
@@ -48,6 +59,12 @@ func LoadTable(r *wire.Reader, p config.Params, rng *stats.Rand) (*Table, error)
 	if nf < 0 {
 		return nil, fmt.Errorf("semdist: negative file count %d", nf)
 	}
+	hint := r.SizeHint(nf, minEntryBytes)
+	t.idx = make(map[simfs.FileID]int32, hint)
+	t.entries = make([]entry, 0, hint)
+	t.pending = make([]simfs.FileID, 0, hint)
+	t.pendingSeen = make(map[simfs.FileID]bool, hint)
+	var slab []Neighbor
 	for i := 0; i < nf; i++ {
 		id := simfs.FileID(r.U64())
 		nn := r.Int()
@@ -58,7 +75,14 @@ func LoadTable(r *wire.Reader, p config.Params, rng *stats.Rand) (*Table, error)
 			return nil, fmt.Errorf("semdist: implausible neighbor count %d", nn)
 		}
 		ei := t.addEntry(id)
-		neighbors := make([]Neighbor, 0, nn)
+		if cap(slab)-len(slab) < nn {
+			slab = make([]Neighbor, 0, r.SizeHint(max(nn, slabNeighbors), minNeighborBytes))
+		}
+		// The list's capacity ends where it does, so a later insert
+		// reallocates it instead of writing over the next list.
+		end := len(slab) + min(nn, cap(slab)-len(slab))
+		neighbors := slab[len(slab):len(slab):end]
+		slab = slab[:end]
 		for j := 0; j < nn && r.Err() == nil; j++ {
 			neighbors = append(neighbors, Neighbor{
 				ID:         simfs.FileID(r.U64()),

@@ -1040,26 +1040,27 @@ func (s *Shard) Close() error {
 const bakSuffix = ".bak"
 
 // RestoreSnapshot climbs the startup recovery ladder: the primary
-// snapshot, then its .bak rotation, then a fresh database. Corruption
-// is downgraded and logged — a poisoned SEERDB costs one shard at most
-// one checkpoint interval of learning, never the process.
+// snapshot, then its .bak rotation, then a fresh database. Each
+// candidate is read whole, in one allocation sized by stat, and
+// decoded in place. Corruption is downgraded and logged — a poisoned
+// SEERDB costs one shard at most one checkpoint interval of learning,
+// never the process.
 func RestoreSnapshot(path string, opts core.Options, log *obs.Logger) *core.Correlator {
 	if path == "" {
 		return core.New(opts)
 	}
 	sawAny := false
 	for _, cand := range []string{path, path + bakSuffix} {
-		f, err := os.Open(cand)
+		data, err := os.ReadFile(cand)
 		if err != nil {
 			if !os.IsNotExist(err) {
-				log.Warn("cannot open snapshot", "path", cand, "err", err)
+				log.Warn("cannot read snapshot", "path", cand, "err", err)
 				sawAny = true
 			}
 			continue
 		}
 		sawAny = true
-		c, lerr := core.Load(f, opts)
-		f.Close()
+		c, lerr := core.Load(data, opts)
 		if lerr != nil {
 			log.Warn("snapshot unusable", "path", cand, "err", lerr)
 			continue

@@ -28,8 +28,12 @@ func (fs *FS) Save(w *wire.Writer) {
 	}
 }
 
+// minFileBytes is the least a saved File takes: one byte per field.
+const minFileBytes = 6
+
 // LoadFS reconstructs a file table saved with Save. rng seeds future
-// unknown-size draws.
+// unknown-size draws. The tables are sized from the saved file count,
+// capped by the bytes left in r, and the Files come from one slab.
 func LoadFS(r *wire.Reader, rng *stats.Rand) (*FS, error) {
 	fs := New(rng)
 	fs.nextID = FileID(r.U64())
@@ -40,8 +44,18 @@ func LoadFS(r *wire.Reader, rng *stats.Rand) (*FS, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("simfs: negative file count %d", n)
 	}
+	hint := r.SizeHint(n, minFileBytes)
+	fs.byID = make(map[FileID]*File, hint)
+	fs.byPath = make(map[string]*File, hint)
+	slab := make([]File, hint)
 	for i := 0; i < n; i++ {
-		f := &File{
+		var f *File
+		if i < len(slab) {
+			f = &slab[i]
+		} else {
+			f = new(File)
+		}
+		*f = File{
 			ID:         FileID(r.U64()),
 			Path:       r.Str(),
 			Kind:       Kind(r.U64()),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzTextReader asserts the text codec reader never panics and either
@@ -45,7 +46,9 @@ func FuzzTextReader(f *testing.F) {
 }
 
 // FuzzBinaryReader asserts the binary codec reader never panics on
-// corrupt input.
+// corrupt input, and that it reads the same events and the same
+// verdict when the stream hands it one byte per read, so every refill
+// boundary is crossed.
 func FuzzBinaryReader(f *testing.F) {
 	var valid bytes.Buffer
 	bw := NewBinaryWriter(&valid)
@@ -58,6 +61,15 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add([]byte("\x07SEERTRC\x01garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
+		slow, slowErr := NewBinaryReader(iotest.OneByteReader(bytes.NewReader(data))).ReadAll()
+		if (err == nil) != (slowErr == nil) || len(evs) != len(slow) {
+			t.Fatalf("one-byte reads disagree: %d events, %v / %d events, %v", len(evs), err, len(slow), slowErr)
+		}
+		for i := range evs {
+			if evs[i] != slow[i] {
+				t.Fatalf("one-byte reads disagree on event %d", i)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -142,44 +143,152 @@ func DecodeFrame(r io.Reader, tag string, maxFrame uint64, body func(*Reader) er
 	return rd.Frame(tag, body)
 }
 
-// Reader deserializes values written by Writer.
+var (
+	// errOverflow reports a varint longer than any 64-bit value needs.
+	errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+	// errOverlong reports a varint with a redundant zero high byte.
+	// Writer never emits one, so every value has one encoding and an
+	// accepted frame re-encodes to the bytes it was read from.
+	errOverlong = errors.New("wire: varint has a redundant high byte")
+)
+
+const (
+	// refillSize is the window a stream is read into.
+	refillSize = 4096
+	// payloadChunk is the least a streamed frame payload's window grows
+	// by, however few of its bytes have arrived.
+	payloadChunk = 64 * 1024
+	// maxEmptyReads cuts off a stream that keeps returning nothing.
+	maxEmptyReads = 100
+)
+
+// Reader deserializes values written by Writer. Every value is decoded
+// straight from a byte slice: the whole input for NewBytesReader, or a
+// window that NewReader's stream refills when a value runs past its end.
 type Reader struct {
-	br  *bufio.Reader
-	err error
+	// buf holds the bytes not yet decoded.
+	buf []byte
+	// src refills buf; nil when buf is the whole input.
+	src io.Reader
+	// store backs buf for a stream.
+	store []byte
+	// srcErr is the stream's terminal error (io.EOF at its end).
+	srcErr error
+	err    error
 	// MaxString bounds string allocations against corrupt input.
 	MaxString uint64
 	// MaxFrame bounds frame payload sizes against corrupt input.
 	MaxFrame uint64
 }
 
-// NewReader returns a Reader on r.
+// NewReader returns a Reader on the stream r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReader(r), MaxString: 1 << 20, MaxFrame: 1 << 30}
+	return &Reader{src: r, MaxString: 1 << 20, MaxFrame: 1 << 30}
+}
+
+// NewBytesReader returns a Reader on b, which it decodes in place: a
+// frame's payload is a sub-slice of b, and b must not change while the
+// Reader is in use.
+func NewBytesReader(b []byte) *Reader {
+	return &Reader{buf: b, MaxString: 1 << 20, MaxFrame: 1 << 30}
 }
 
 // Err returns the first error encountered.
 func (r *Reader) Err() error { return r.err }
+
+// SizeHint caps count, a number of elements read off the input, by how
+// many elements of at least minBytes bytes each the undecoded bytes
+// held by r can still encode. Decoders presize their tables with it, so
+// a lying count cannot allocate past the input actually present. For a
+// stream only the buffered bytes count, so the hint may fall short.
+func (r *Reader) SizeHint(count, minBytes int) int {
+	return max(0, min(count, len(r.buf)/minBytes))
+}
+
+// read does one Read of the stream into p and records its error.
+func (r *Reader) read(p []byte) int {
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := r.src.Read(p)
+		if err != nil {
+			r.srcErr = err
+		}
+		if n > 0 || err != nil {
+			return n
+		}
+	}
+	r.srcErr = io.ErrNoProgress
+	return 0
+}
+
+// fill refills buf from the stream until it holds at least n bytes and
+// reports whether it does. The window grows only when n exceeds it.
+func (r *Reader) fill(n int) bool {
+	for len(r.buf) < n {
+		if r.src == nil || r.srcErr != nil {
+			return false
+		}
+		if cap(r.buf) < n {
+			if len(r.store) < n {
+				r.store = make([]byte, max(n, refillSize))
+			}
+			r.buf = r.store[:copy(r.store, r.buf)]
+		}
+		m := r.read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+m]
+	}
+	return true
+}
+
+// short is the error for input that ended inside a value: the stream's
+// own failure, else io.EOF when none of the value was present and
+// io.ErrUnexpectedEOF when part of it was.
+func (r *Reader) short(partial bool) error {
+	switch {
+	case r.srcErr != nil && r.srcErr != io.EOF:
+		return r.srcErr
+	case partial:
+		return io.ErrUnexpectedEOF
+	}
+	return io.EOF
+}
 
 // U64 reads an unsigned varint.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		r.err = err
+	for {
+		if len(r.buf) > 0 && r.buf[0] < 0x80 {
+			v := r.buf[0]
+			r.buf = r.buf[1:]
+			return uint64(v)
+		}
+		v, n := binary.Uvarint(r.buf)
+		if n > 0 {
+			if r.buf[n-1] == 0 {
+				r.err = errOverlong
+				return 0
+			}
+			r.buf = r.buf[n:]
+			return v
+		}
+		if n < 0 || len(r.buf) >= binary.MaxVarintLen64 {
+			r.err = errOverflow
+			return 0
+		}
+		if !r.fill(len(r.buf) + 1) {
+			r.err = r.short(len(r.buf) > 0)
+			return 0
+		}
 	}
-	return v
 }
 
-// I64 reads a signed varint.
+// I64 reads a signed (zig-zag) varint.
 func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.br)
-	if err != nil {
-		r.err = err
+	u := r.U64()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
 	return v
 }
@@ -199,9 +308,10 @@ func (r *Reader) Bool() bool { return r.U64() != 0 }
 // and any error returned by body become the result; the outer reader's
 // sticky error is set as well so callers can stay linear.
 //
-// The declared payload length is read in bounded chunks, so an
-// adversarial length header cannot force a huge allocation: reading
-// fails as soon as the underlying stream runs dry.
+// An in-memory payload is decoded where it lies. A streamed one is read
+// into a window that grows only as its bytes arrive, so an adversarial
+// length header cannot force a huge allocation: reading fails as soon
+// as the stream runs dry.
 func (r *Reader) Frame(tag string, body func(*Reader) error) error {
 	if r.err != nil {
 		return r.err
@@ -224,7 +334,7 @@ func (r *Reader) Frame(tag string, body func(*Reader) error) error {
 	if n > r.MaxFrame {
 		return fail(fmt.Errorf("wire: section %q: length %d exceeds limit %d", tag, n, r.MaxFrame))
 	}
-	payload, err := readBounded(r.br, n)
+	payload, err := r.take(n)
 	if err != nil {
 		return fail(fmt.Errorf("wire: section %q: %w", tag, err))
 	}
@@ -235,7 +345,7 @@ func (r *Reader) Frame(tag string, body func(*Reader) error) error {
 	if sum := uint64(crc32.Checksum(payload, castagnoli)); sum != want {
 		return fail(fmt.Errorf("wire: section %q: checksum mismatch (got %#x, want %#x)", tag, sum, want))
 	}
-	sub := NewReader(bytes.NewReader(payload))
+	sub := NewBytesReader(payload)
 	sub.MaxString = r.MaxString
 	sub.MaxFrame = r.MaxFrame
 	if err := body(sub); err != nil {
@@ -247,32 +357,21 @@ func (r *Reader) Frame(tag string, body func(*Reader) error) error {
 	return nil
 }
 
-// readBounded reads exactly n bytes in fixed-size chunks. Unlike a
-// single make([]byte, n), a corrupt length only costs memory for bytes
-// actually present in the stream.
-func readBounded(br *bufio.Reader, n uint64) ([]byte, error) {
-	const chunk = 64 * 1024
-	cap0 := n
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	buf := make([]byte, 0, cap0)
-	var tmp [chunk]byte
-	for uint64(len(buf)) < n {
-		want := n - uint64(len(buf))
-		if want > chunk {
-			want = chunk
-		}
-		m, err := io.ReadFull(br, tmp[:want])
-		buf = append(buf, tmp[:m]...)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
+// take returns the next n bytes. For an in-memory input they are a
+// sub-slice of it. A stream refills its window until the window holds
+// them, growing it by doubling as bytes arrive, so a corrupt length only
+// costs memory for bytes actually present in the stream; the window
+// then belongs to the returned bytes and the next refill takes a fresh one.
+func (r *Reader) take(n uint64) ([]byte, error) {
+	for uint64(len(r.buf)) < n {
+		if !r.fill(int(min(n, max(2*uint64(len(r.buf)), payloadChunk)))) {
+			return nil, r.short(true)
 		}
 	}
-	return buf, nil
+	p := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	r.store = nil
+	return p, nil
 }
 
 // Str reads a length-prefixed string.
@@ -285,10 +384,11 @@ func (r *Reader) Str() string {
 		r.err = fmt.Errorf("wire: string length %d exceeds limit %d", n, r.MaxString)
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		r.err = err
+	if !r.fill(int(n)) {
+		r.err = r.short(len(r.buf) > 0)
 		return ""
 	}
-	return string(buf)
+	s := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return s
 }

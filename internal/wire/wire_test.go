@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -271,5 +273,59 @@ func TestEncodeDecodeFrame(t *testing.T) {
 	// maxFrame enforced.
 	if err := DecodeFrame(bytes.NewReader(b), "msg", 1, func(r *Reader) error { return nil }); err == nil {
 		t.Error("oversized frame accepted")
+	}
+}
+
+func TestOverlongVarintRejected(t *testing.T) {
+	// 0x80 0x00 and 0x81 0x00 decode to 0 and 1 but are not what
+	// Writer emits; accepting them would give a frame two encodings.
+	for _, in := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0xff, 0x80, 0x00}} {
+		for _, r := range []*Reader{NewBytesReader(in), NewReader(bytes.NewReader(in))} {
+			r.U64()
+			if r.Err() == nil {
+				t.Errorf("overlong varint %x accepted", in)
+			}
+		}
+	}
+}
+
+func TestBytesReaderMatchesStream(t *testing.T) {
+	// The in-memory and the stream reader decode one byte slice the
+	// same way, at every truncation, with the same io.EOF versus
+	// io.ErrUnexpectedEOF distinction.
+	data := frameBytes(t)
+	decode := func(r *Reader) (uint64, string, int, error) {
+		var v uint64
+		var s string
+		var n int
+		r.Frame("hdr", func(sr *Reader) error {
+			v, s = sr.U64(), sr.Str()
+			return sr.Err()
+		})
+		r.Frame("tail", func(sr *Reader) error {
+			n = sr.Int()
+			return sr.Err()
+		})
+		return v, s, n, r.Err()
+	}
+	for n := 0; n <= len(data); n++ {
+		v1, s1, i1, err1 := decode(NewBytesReader(data[:n]))
+		v2, s2, i2, err2 := decode(NewReader(iotest.OneByteReader(bytes.NewReader(data[:n]))))
+		if v1 != v2 || s1 != s2 || i1 != i2 || errors.Is(err1, io.EOF) != errors.Is(err2, io.EOF) ||
+			errors.Is(err1, io.ErrUnexpectedEOF) != errors.Is(err2, io.ErrUnexpectedEOF) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("prefix %d: bytes %d %q %d %v, stream %d %q %d %v", n, v1, s1, i1, err1, v2, s2, i2, err2)
+		}
+	}
+	// Str's io.EOF versus io.ErrUnexpectedEOF follows io.ReadFull.
+	for _, c := range []struct {
+		in   []byte
+		want error
+	}{{[]byte{3}, io.EOF}, {[]byte{3, 'a'}, io.ErrUnexpectedEOF}, {[]byte{0x80}, io.ErrUnexpectedEOF}, {nil, io.EOF}} {
+		for _, r := range []*Reader{NewBytesReader(c.in), NewReader(bytes.NewReader(c.in))} {
+			r.Str()
+			if r.Err() != c.want {
+				t.Errorf("Str on %x: %v, want %v", c.in, r.Err(), c.want)
+			}
+		}
 	}
 }

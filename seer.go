@@ -28,6 +28,7 @@
 package seer
 
 import (
+	"fmt"
 	"io"
 
 	"github.com/fmg/seer/internal/config"
@@ -261,15 +262,19 @@ func (s *Seer) RecordMiss(path string) []string { return s.corr.ForceHoard(path)
 // transient state is not saved; a restore behaves like a reboot.
 func (s *Seer) Save(w io.Writer) error { return s.corr.Save(w) }
 
-// Load restores a Seer saved with Save. Options supply configuration
-// (parameters, control file, directory sizer), which is not part of the
-// saved state.
+// Load restores a Seer saved with Save, reading r to its end first.
+// Options supply configuration (parameters, control file, directory
+// sizer), which is not part of the saved state.
 func Load(r io.Reader, opts ...Option) (*Seer, error) {
 	var co core.Options
 	for _, opt := range opts {
 		opt(&co)
 	}
-	corr, err := core.Load(r, co)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("seer: read snapshot: %w", err)
+	}
+	corr, err := core.Load(data, co)
 	if err != nil {
 		return nil, err
 	}
